@@ -18,7 +18,7 @@ import json
 import math
 import sys
 
-from . import graphs, oracle, solver, threshold
+from . import checks, graphs, oracle, solver, threshold
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
@@ -62,6 +62,10 @@ def _csv(rows: list[str]) -> str:
     return "\r\n".join(rows) + "\r\n"
 
 
+def _index_csv(eigenvalues) -> str:
+    return _csv(["index,lambda"] + ["%d,%r" % (i, v) for i, v in enumerate(eigenvalues)])
+
+
 def cmd_spectrum(args) -> int:
     if args.n < 2:
         raise _UsageError("spectrum needs --n >= 2, got %d" % args.n)
@@ -80,12 +84,8 @@ def cmd_spectrum(args) -> int:
         _emit(args, result.to_json() + "\n" if args.format == "json" else result.to_csv())
         return EXIT_OK
     if args.method == "dense":
-        if args.format == "json":
-            _emit(args, json.dumps({"n": args.n, "eigenvalues": dense}) + "\n")
-        else:
-            rows = ["index,lambda"]
-            rows.extend("%d,%r" % (i, v) for i, v in enumerate(dense))
-            _emit(args, _csv(rows))
+        text = json.dumps({"n": args.n, "eigenvalues": dense}) + "\n"
+        _emit(args, text if args.format == "json" else _index_csv(dense))
         return EXIT_OK
 
     cheb = result.eigenvalues()
@@ -142,139 +142,22 @@ def cmd_table1(args) -> int:
     return EXIT_OK if worst <= TABLE1_TOL else EXIT_CHECK_FAILED
 
 
-def _verify_oracle(n_max: int, tol: float):
-    worst = 0.0
-    for n in range(2, n_max + 1):
-        cheb = solver.solve_spectrum(n).eigenvalues()
-        a = graphs.antiregular_adjacency(n).astype(float)
-        dense = oracle.jacobi_eigenvalues(a).eigenvalues
-        worst = max(worst, max(abs(c - d) for c, d in zip(cheb, dense)))
-    return worst <= tol, "max delta %.3e over n=2..%d (tol %.1e)" % (worst, n_max, tol)
-
-
-def _verify_forbidden(n_max: int):
-    for n in range(2, n_max + 1):
-        if not solver.forbidden_interval_check(solver.solve_spectrum(n), margin=0.0):
-            return False, "violation at n=%d" % n
-    return True, "clean for n=2..%d" % n_max
-
-
-def _verify_containment(n_max: int):
-    for n in range(2, n_max + 1):
-        spec = solver.solve_spectrum(n)
-        k = spec.k
-        expected_neg = k - 1 if spec.parity == "even" else k
-        if len(spec.positives) != k or len(spec.negatives) != expected_neg:
-            return False, "root count off at n=%d" % n
-        for thetas, bracks in (
-            (spec.thetas_pos, spec.brackets_pos),
-            (spec.thetas_neg, spec.brackets_neg),
-        ):
-            for theta, (lo, hi) in zip(thetas, bracks):
-                if not lo < theta < hi:
-                    return False, "angle %r escapes (%r, %r) at n=%d" % (theta, lo, hi, n)
-        if spec.parity == "even":
-            for j in range(1, k):
-                glo, ghi = spec.brackets_pos[j - 1]
-                if not (
-                    solver.branch_positive(glo)
-                    < spec.positives[j - 1]
-                    < solver.branch_positive(ghi)
-                ):
-                    return False, "positive bound fails at n=%d j=%d" % (n, j)
-                if not (
-                    solver.branch_negative(ghi)
-                    < spec.negatives[j - 1]
-                    < solver.branch_negative(glo)
-                ):
-                    return False, "negative bound fails at n=%d j=%d" % (n, j)
-    return True, "angles and eigenvalue bounds hold for n=2..%d" % n_max
-
-
-def _verify_pair_symmetry(n_max: int):
-    checked = 0
-    for n in range(4, n_max + 1, 2):
-        spec = solver.solve_spectrum(n)
-        for j in range(1, spec.k):
-            if solver.symmetry_defect(spec, j) > solver.symmetry_defect_bound(spec.k, j):
-                return False, "defect exceeds bound at n=%d j=%d" % (n, j)
-            checked += 1
-    if not checked:
-        return None, "needs an even order >= 4"
-    return True, "%d pair defects within bound" % checked
-
-
-def _verify_estimates(n_max: int):
-    checked = 0
-    for n in range(4, n_max + 1, 2):
-        spec = solver.solve_spectrum(n)
-        for j in range(1, spec.k):
-            est_pos, est_neg, bound = solver.eigenvalue_estimates(spec.k, j)
-            if abs(spec.positives[j - 1] - est_pos) > bound:
-                return False, "positive estimate off at n=%d j=%d" % (n, j)
-            if abs(spec.negatives[j - 1] - est_neg) > bound:
-                return False, "negative estimate off at n=%d j=%d" % (n, j)
-            checked += 1
-    if not checked:
-        return None, "needs an even order >= 4"
-    return True, "%d estimates within bound" % checked
-
-
-def _verify_laplacian(n_max: int):
-    limit = min(n_max, 50)
-    for n in range(2, limit + 1):
-        lap = graphs.laplacian(graphs.antiregular_adjacency(n)).astype(float)
-        eigs = oracle.jacobi_eigenvalues(lap).eigenvalues
-        expected = sorted(set(range(n + 1)) - {(n + 1) // 2})
-        worst = max(abs(e - x) for e, x in zip(eigs, expected))
-        if worst > 1e-6:
-            return False, "Laplacian spectrum off by %.3e at n=%d" % (worst, n)
-    return True, "integer Laplacian spectra for n=2..%d" % limit
-
-
-def _verify_monotone(n_max: int):
-    k_max = n_max // 2
-    if k_max < 2:
-        return None, "needs k >= 2"
-    prev_pos = prev_neg = None
-    for k in range(1, k_max + 1):
-        lam_pos, lam_neg = solver.innermost_eigenvalues(k)
-        if prev_pos is not None and not lam_pos < prev_pos:
-            return False, "positive sequence not decreasing at k=%d" % k
-        prev_pos = lam_pos
-        if lam_neg is not None:
-            if prev_neg is not None and not lam_neg > prev_neg:
-                return False, "negative sequence not increasing at k=%d" % k
-            prev_neg = lam_neg
-    return True, "innermost pair monotone for k=1..%d" % k_max
-
-
 def cmd_verify(args) -> int:
     if not 2 <= args.n_max <= 500:
         raise _UsageError("verify needs 2 <= --n-max <= 500, got %d" % args.n_max)
-    oracle_tol = 0.0 if args.tamper else 1e-8
-    checks = [
-        ("oracle-equivalence", lambda: _verify_oracle(args.n_max, oracle_tol)),
-        ("forbidden-interval", lambda: _verify_forbidden(args.n_max)),
-        ("bracket-containment", lambda: _verify_containment(args.n_max)),
-        ("pair-symmetry-bound", lambda: _verify_pair_symmetry(args.n_max)),
-        ("eigenvalue-estimate-bound", lambda: _verify_estimates(args.n_max)),
-        ("laplacian-integer-spectrum", lambda: _verify_laplacian(args.n_max)),
-        ("monotone-innermost", lambda: _verify_monotone(args.n_max)),
+    spectra = {n: solver.solve_spectrum(n) for n in range(2, args.n_max + 1)}
+    innermost = {k: solver.innermost_eigenvalues(k) for k in range(1, args.n_max // 2 + 1)}
+    results = [
+        checks.oracle_equivalence(spectra, 0.0 if args.tamper else 1e-8),
+        checks.forbidden_interval(spectra),
+        checks.bracket_containment(spectra),
+        checks.pair_symmetry_bound(spectra),
+        checks.eigenvalue_estimate_bound(spectra),
+        checks.laplacian_integer_spectrum(range(2, min(args.n_max, 50) + 1), 1e-6),
+        checks.monotone_innermost(innermost),
     ]
-    lines = []
-    failed = False
-    for name, run in checks:
-        ok, detail = run()
-        if ok is None:
-            lines.append("%s: SKIP (%s)" % (name, detail))
-        elif ok:
-            lines.append("%s: PASS (%s)" % (name, detail))
-        else:
-            lines.append("%s: FAIL (%s)" % (name, detail))
-            failed = True
-    _emit(args, "\n".join(lines) + "\n")
-    return EXIT_CHECK_FAILED if failed else EXIT_OK
+    _emit(args, "".join(r.line() + "\n" for r in results))
+    return EXIT_CHECK_FAILED if any(r.status == checks.FAIL for r in results) else EXIT_OK
 
 
 def cmd_scan(args) -> int:
@@ -315,57 +198,27 @@ def _figure_theta(points: int) -> str:
     return _csv(rows)
 
 
-def _figure_even(k: int, points: int) -> str:
-    rows = ["theta,sine_ratio,branch_positive,branch_negative"]
-    poles = list(solver.asymptote_brackets(k, "even").asymptotes[1:])
-    next_pole = 0
-    for i in range(points):  # stop short of pi, where the branches blow up
-        theta = math.pi * i / points
-        if next_pole < len(poles) and theta > poles[next_pole]:
-            rows.append("")
-            next_pole += 1
-        try:
-            ratio = solver.sine_ratio_even(theta, k)
-        except ValueError:
-            rows.append("")
-            continue
-        rows.append(
-            "%r,%r,%r,%r"
-            % (theta, ratio, solver.branch_positive(theta), solver.branch_negative(theta))
-        )
-    return _csv(rows)
-
-
-def _figure_odd(k: int, points: int) -> str:
-    rows = ["theta,sine_ratio,ratio_positive,ratio_negative"]
-    poles = list(solver.asymptote_brackets(k, "odd").asymptotes[1:])
+def _figure_curves(k: int, points: int, parity: str) -> str:
+    even = parity == "even"
+    ratio = solver.sine_ratio_even if even else solver.sine_ratio_odd
+    upper = solver.branch_positive if even else solver.odd_ratio_positive
+    lower = solver.branch_negative if even else solver.odd_ratio_negative
+    curves = "branch_positive,branch_negative" if even else "ratio_positive,ratio_negative"
+    rows = ["theta,sine_ratio," + curves]
+    span = points if even else points - 1  # even: stop short of pi, where the branches blow up
+    poles = solver.asymptote_brackets(k, parity).asymptotes[1:]
     next_pole = 0
     for i in range(points):
-        theta = math.pi * i / (points - 1)
+        theta = math.pi * i / span
         if next_pole < len(poles) and theta > poles[next_pole]:
             rows.append("")
             next_pole += 1
         try:
-            ratio = solver.sine_ratio_odd(theta, k)
+            value = ratio(theta, k)
         except ValueError:
             rows.append("")
             continue
-        rows.append(
-            "%r,%r,%r,%r"
-            % (
-                theta,
-                ratio,
-                solver.odd_ratio_positive(theta),
-                solver.odd_ratio_negative(theta),
-            )
-        )
-    return _csv(rows)
-
-
-def _figure_density(k: int) -> str:
-    spec = solver.solve_spectrum(2 * k)
-    rows = ["index,lambda"]
-    rows.extend("%d,%r" % (i, lam) for i, lam in enumerate(spec.eigenvalues()))
+        rows.append("%r,%r,%r,%r" % (theta, value, upper(theta), lower(theta)))
     return _csv(rows)
 
 
@@ -376,12 +229,10 @@ def cmd_figure_data(args) -> int:
         raise _UsageError("figure-data needs --points >= 10, got %d" % args.points)
     if args.which == "theta":
         text = _figure_theta(args.points)
-    elif args.which == "even-curves":
-        text = _figure_even(args.k, args.points)
-    elif args.which == "odd-curves":
-        text = _figure_odd(args.k, args.points)
+    elif args.which in ("even-curves", "odd-curves"):
+        text = _figure_curves(args.k, args.points, args.which.split("-")[0])
     elif args.which == "density":
-        text = _figure_density(args.k)
+        text = _index_csv(solver.solve_spectrum(2 * args.k).eigenvalues())
     else:  # pragma: no cover - argparse restricts choices
         raise _UsageError("unknown figure %r" % (args.which,))
     _emit(args, text)

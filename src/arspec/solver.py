@@ -419,30 +419,11 @@ class SpectrumResult:
     def to_csv(self) -> str:
         lines = ["index,sign_class,theta,lambda,residual,bracket_lo,bracket_hi"]
         lines.append("0,trivial,,%r,,," % self.trivial)
-        for i, lam in enumerate(self.positives):
-            lines.append(
-                "%d,positive,%r,%r,%r,%r,%r"
-                % (
-                    i + 1,
-                    self.thetas_pos[i],
-                    lam,
-                    self.residuals_pos[i],
-                    self.brackets_pos[i][0],
-                    self.brackets_pos[i][1],
-                )
-            )
-        for i, lam in enumerate(self.negatives):
-            lines.append(
-                "%d,negative,%r,%r,%r,%r,%r"
-                % (
-                    i + 1,
-                    self.thetas_neg[i],
-                    lam,
-                    self.residuals_neg[i],
-                    self.brackets_neg[i][0],
-                    self.brackets_neg[i][1],
-                )
-            )
+        pos = (self.positives, self.thetas_pos, self.residuals_pos, self.brackets_pos)
+        neg = (self.negatives, self.thetas_neg, self.residuals_neg, self.brackets_neg)
+        for sign, columns in (("positive", pos), ("negative", neg)):
+            for i, (lam, theta, resid, (lo, hi)) in enumerate(zip(*columns), 1):
+                lines.append("%d,%s,%r,%r,%r,%r,%r" % (i, sign, theta, lam, resid, lo, hi))
         return "\r\n".join(lines) + "\r\n"
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -240,16 +240,25 @@ def _scan_range(n: int, start: int, stop: int):
         count += 1
         violations.extend((seq, v) for v in viols)
         if min_pos is not None:
-            if best_min is None or min_pos < best_min[1] - TIE_TOL or (
-                abs(min_pos - best_min[1]) <= TIE_TOL and seq < best_min[0]
-            ):
-                best_min = (seq, min_pos)
+            best_min = _merge(best_min, (seq, min_pos), 1.0)
         if max_neg is not None:
-            if best_max is None or max_neg > best_max[1] + TIE_TOL or (
-                abs(max_neg - best_max[1]) <= TIE_TOL and seq < best_max[0]
-            ):
-                best_max = (seq, max_neg)
+            best_max = _merge(best_max, (seq, max_neg), -1.0)
     return count, violations, best_min, best_max
+
+
+def _merge(a, b, sign: float):
+    """The better of two (sequence, value) candidates or None: smaller
+    sign * value beyond TIE_TOL (sign 1 keeps the minimum, -1 the maximum),
+    else on a tie the lexicographically smaller sequence."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    if sign * b[1] < sign * a[1] - TIE_TOL:
+        return b
+    if abs(b[1] - a[1]) <= TIE_TOL and b[0] < a[0]:
+        return b
+    return a
 
 
 def _resolve_workers(workers: int | None) -> int:
@@ -271,27 +280,22 @@ def _resolve_workers(workers: int | None) -> int:
 def _scan_all(n: int, workers: int) -> ScanReport:
     total = 1 << (n - 2)
     if workers <= 1 or total < 64:
-        count, violations, best_min, best_max = _scan_range(n, 0, total)
+        parts = [_scan_range(n, 0, total)]
     else:
         chunks = min(workers * 4, total)
         bounds = [(total * c) // chunks for c in range(chunks + 1)]
-        count = 0
-        violations = []
-        best_min = best_max = None
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(
-                _scan_range,
-                [n] * chunks,
-                bounds[:-1],
-                bounds[1:],
-            )
-            # chunks are contiguous and consumed in order, so concatenated
-            # violations stay in lexicographic sequence order
-            for c_count, c_viol, c_min, c_max in parts:
-                count += c_count
-                violations.extend(c_viol)
-                best_min = _merge_min(best_min, c_min)
-                best_max = _merge_max(best_max, c_max)
+            parts = list(pool.map(_scan_range, [n] * chunks, bounds[:-1], bounds[1:]))
+    count = 0
+    violations = []
+    best_min = best_max = None
+    # chunks are contiguous and in order, so concatenated violations stay in
+    # lexicographic sequence order
+    for c_count, c_viol, c_min, c_max in parts:
+        count += c_count
+        violations.extend(c_viol)
+        best_min = _merge(best_min, c_min, 1.0)
+        best_max = _merge(best_max, c_max, -1.0)
 
     anti = antiregular_sequence(n)
     _, anti_min, anti_max = _graph_stats(anti)
@@ -306,30 +310,6 @@ def _scan_all(n: int, workers: int) -> ScanReport:
     )
 
 
-def _merge_min(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    if b[1] < a[1] - TIE_TOL:
-        return b
-    if abs(b[1] - a[1]) <= TIE_TOL and b[0] < a[0]:
-        return b
-    return a
-
-
-def _merge_max(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    if b[1] > a[1] + TIE_TOL:
-        return b
-    if abs(b[1] - a[1]) <= TIE_TOL and b[0] < a[0]:
-        return b
-    return a
-
-
 def omega_scan(n: int, workers: int | None = None) -> ScanReport:
     """Exhaustively test the forbidden interval over all connected threshold
     graphs on n vertices.
@@ -338,21 +318,17 @@ def omega_scan(n: int, workers: int | None = None) -> ScanReport:
     than 1e-9 yet sits more than 1e-9 inside both interval endpoints.  The
     report lists every violation with its creation sequence; an empty list
     is the expected outcome.  Set workers (or ARSPEC_THREADS) to scan in
-    parallel; results are identical either way.
+    parallel; results are identical either way.  Each call gets its own report.
     """
     if not 2 <= n <= MAX_SCAN_ORDER:
         raise ValueError("scan supports 2 <= n <= %d, got %d" % (MAX_SCAN_ORDER, n))
-    return _scan_all(n, _resolve_workers(workers))
+    cached = _scan_all(n, _resolve_workers(workers))
+    return replace(cached, omega_violations=list(cached.omega_violations))
 
 
 def extremal_scan(n: int, workers: int | None = None) -> ScanReport:
-    """Exhaustively locate the eigenvalues nearest the forbidden interval.
-
-    Tracks the smallest positive eigenvalue and the largest nontrivial
-    negative one over the family, with the anti-regular graph's own values
-    alongside; extremes_attained() on the report tells whether it realizes
-    both.  Shares its scan pass (and cache) with omega_scan.
-    """
-    if not 2 <= n <= MAX_SCAN_ORDER:
-        raise ValueError("scan supports 2 <= n <= %d, got %d" % (MAX_SCAN_ORDER, n))
-    return _scan_all(n, _resolve_workers(workers))
+    """Exhaustively locate the eigenvalues nearest the forbidden interval:
+    omega_scan's report, whose extremes_attained() tells whether the
+    anti-regular graph has both the smallest positive and the largest
+    nontrivial negative eigenvalue of the family."""
+    return omega_scan(n, workers)

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from arspec import checks
 from arspec.chebyshev import chebyshev_u, chebyshev_u_roots, chebyshev_u_trig, toeplitz_char_poly
 from arspec.graphs import (
     antiregular_adjacency,
@@ -18,24 +19,18 @@ from arspec.graphs import (
     block_adjacency,
     block_permutation,
     inverse_block_adjacency,
-    laplacian,
     path_adjacency,
 )
-from arspec.oracle import char_poly_eval, jacobi_eigenvalues
+from arspec.oracle import char_poly_eval
 from arspec.solver import (
     FORBIDDEN_HI,
     FORBIDDEN_LO,
-    branch_negative,
     branch_positive,
     closure_witness,
-    eigenvalue_estimates,
     extreme_eigenvalue_bounds,
-    forbidden_interval_check,
     innermost_eigenvalues,
     last_bracket_ratio,
     solve_spectrum,
-    symmetry_defect,
-    symmetry_defect_bound,
 )
 from arspec.threshold import extremal_scan, omega_scan
 
@@ -75,36 +70,24 @@ def test_criterion_01_reference_table():
 
 def test_criterion_02_oracle_equivalence():
     start = time.perf_counter()
-    worst = 0.0
-    for n in range(2, 201):
-        cheb = solve_spectrum(n).eigenvalues()
-        dense = jacobi_eigenvalues(antiregular_adjacency(n).astype(float)).eigenvalues
-        delta = max(abs(c - d) for c, d in zip(cheb, dense))
-        worst = max(worst, delta)
-        assert delta <= 1e-8, "n=%d delta %.3e" % (n, delta)
+    result = checks.oracle_equivalence({n: solve_spectrum(n) for n in range(2, 201)}, 1e-8)
     elapsed = time.perf_counter() - start
+    assert result.status == checks.PASS, result.line()
     assert elapsed < 300.0
-    print("criterion 02 PASS: solver matches oracle for n=2..200 (worst %.3e, %.1fs)" % (worst, elapsed))
+    print("criterion 02 PASS: solver matches oracle for n=2..200 (worst %.3e, %.1fs)" % (result.worst, elapsed))
 
 
 def test_criterion_03_forbidden_interval(spectra_500):
-    for n, spec in spectra_500.items():
-        assert forbidden_interval_check(spec, margin=0.0), "violation at n=%d" % n
+    result = checks.forbidden_interval(spectra_500)
+    assert result.status == checks.PASS, result.line()
     print("criterion 03 PASS: forbidden interval clean for n=2..500")
 
 
 def test_criterion_04_monotone_innermost():
-    prev_pos = prev_neg = None
-    lam_pos = lam_neg = None
-    for k in range(1, 501):
-        lam_pos, lam_neg = innermost_eigenvalues(k)
-        if prev_pos is not None:
-            assert lam_pos < prev_pos, "positive not strictly decreasing at k=%d" % k
-        prev_pos = lam_pos
-        if lam_neg is not None:
-            if prev_neg is not None:
-                assert lam_neg > prev_neg, "negative not strictly increasing at k=%d" % k
-            prev_neg = lam_neg
+    pairs = {k: innermost_eigenvalues(k) for k in range(1, 501)}
+    result = checks.monotone_innermost(pairs)
+    assert result.status == checks.PASS, result.line()
+    lam_pos, lam_neg = pairs[500]
     gap = branch_positive(2.0 * math.pi / 999.0) - branch_positive(0.0)
     assert 0.0 < lam_pos - FORBIDDEN_HI < gap
     assert 0.0 < FORBIDDEN_LO - lam_neg < gap
@@ -115,42 +98,21 @@ def test_criterion_04_monotone_innermost():
 
 
 def test_criterion_05_bracket_containment():
-    for k in (8, 16, 125, 500):
-        spec = solve_spectrum(2 * k)
-        assert len(spec.positives) == k
-        assert len(spec.negatives) == k - 1
-        step = spec.brackets_pos[0][1]
-        for j in range(1, k):
-            glo, ghi = (j - 1) * step, j * step
-            assert branch_positive(glo) < spec.positives[j - 1] < branch_positive(ghi)
-            assert branch_negative(ghi) < spec.negatives[j - 1] < branch_negative(glo)
-        assert spec.positives[k - 1] > branch_positive((k - 1) * step)
+    result = checks.bracket_containment({2 * k: solve_spectrum(2 * k) for k in (8, 16, 125, 500)})
+    assert result.status == checks.PASS, result.line()
     print("criterion 05 PASS: strict bracket bounds and root counts for k in {8,16,125,500}")
 
 
 def test_criterion_06_pair_symmetry_bound(spectrum_1000):
-    spec = spectrum_1000
-    k = spec.k
-    worst = 0.0
-    for j in range(1, k):
-        defect = symmetry_defect(spec, j)
-        bound = symmetry_defect_bound(k, j)
-        worst = max(worst, defect / bound)
-        assert defect <= bound, "defect exceeds bound at j=%d" % j
-    print("criterion 06 PASS: n=1000 pair defects within bound (worst ratio %.3f)" % worst)
+    result = checks.pair_symmetry_bound({1000: spectrum_1000})
+    assert result.status == checks.PASS, result.line()
+    print("criterion 06 PASS: n=1000 pair defects within bound (worst ratio %.3f)" % result.worst)
 
 
 def test_criterion_07_eigenvalue_estimates(spectrum_1000):
-    spec = spectrum_1000
-    k = spec.k
-    worst = 0.0
-    for j in range(1, k):
-        est_pos, est_neg, bound = eigenvalue_estimates(k, j)
-        dp = abs(spec.positives[j - 1] - est_pos)
-        dn = abs(spec.negatives[j - 1] - est_neg)
-        worst = max(worst, dp / bound, dn / bound)
-        assert dp <= bound and dn <= bound, "estimate off at j=%d" % j
-    print("criterion 07 PASS: n=1000 estimates within bound (worst ratio %.3f)" % worst)
+    result = checks.eigenvalue_estimate_bound({1000: spectrum_1000})
+    assert result.status == checks.PASS, result.line()
+    print("criterion 07 PASS: n=1000 estimates within bound (worst ratio %.3f)" % result.worst)
 
 
 def test_criterion_08_extreme_bounds(spectra_500):
@@ -195,10 +157,8 @@ def test_criterion_11_structural_identities():
     for n in range(2, 201, 2):
         conj = apply_permutation(antiregular_adjacency(n), block_permutation(n))
         assert np.array_equal(conj, block_adjacency(n // 2))
-    for n in range(2, 51):
-        eigs = jacobi_eigenvalues(laplacian(antiregular_adjacency(n)).astype(float)).eigenvalues
-        expected = sorted(set(range(n + 1)) - {(n + 1) // 2})
-        assert max(abs(e - x) for e, x in zip(eigs, expected)) <= 1e-6
+    result = checks.laplacian_integer_spectrum(range(2, 51), 1e-6)
+    assert result.status == checks.PASS, result.line()
     print(
         "criterion 11 PASS: exact inverses (k<=100), block conjugation (n<=200),"
         " integer Laplacian spectra (n<=50)"

@@ -70,10 +70,18 @@ def test_table1_json(capsys):
 
 
 def test_verify_small(capsys):
-    code, out, _ = run(capsys, "verify", "--n-max", "8")
+    # the block shown in the README
+    code, out, _ = run(capsys, "verify", "--n-max", "12")
     assert code == EXIT_OK
-    assert "oracle-equivalence: PASS" in out
-    assert "FAIL" not in out
+    assert out == (
+        "oracle-equivalence: PASS (max delta 1.155e-14 over n=2..12 (tol 1.0e-08))\n"
+        "forbidden-interval: PASS (clean for n=2..12)\n"
+        "bracket-containment: PASS (angles and eigenvalue bounds hold for n=2..12)\n"
+        "pair-symmetry-bound: PASS (15 pair defects within bound)\n"
+        "eigenvalue-estimate-bound: PASS (15 estimates within bound)\n"
+        "laplacian-integer-spectrum: PASS (integer Laplacian spectra for n=2..12)\n"
+        "monotone-innermost: PASS (innermost pair monotone for k=1..6)\n"
+    )
 
 
 def test_verify_degenerate_order_skips(capsys):

@@ -157,6 +157,13 @@ def test_scan_deterministic_and_parallel_agree():
     assert serial.to_json() == parallel.to_json()
 
 
+def test_cached_scan_reports_are_not_shared():
+    omega_scan(6).omega_violations.append(("x", 0.0))
+    extremal_scan(6).min_positive = ("000001", 5.0)
+    assert omega_scan(6).omega_violations == []
+    assert extremal_scan(6).extremes_attained()
+
+
 def test_scan_report_wire_format():
     report = omega_scan(6)
     doc = json.loads(report.to_json())
