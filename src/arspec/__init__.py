@@ -1,74 +1,17 @@
 """Spectra of anti-regular and threshold graphs via trigonometric root isolation."""
 
-from .chebyshev import (
-    chebyshev_u,
-    chebyshev_u_at_minus_one,
-    chebyshev_u_at_one,
-    chebyshev_u_roots,
-    chebyshev_u_trig,
-    toeplitz_char_poly,
-)
-from .graphs import (
-    adjacency_from_sequence,
-    antiregular_adjacency,
-    antiregular_sequence,
-    apply_permutation,
-    block_adjacency,
-    block_permutation,
-    degree_sequence,
-    inverse_block_adjacency,
-    laplacian,
-    matrix_from_csv,
-    matrix_from_json,
-    matrix_to_csv,
-    matrix_to_json,
-    path_adjacency,
-    sequence_from_string,
-    sequence_to_string,
-)
-from .oracle import (
-    ConvergenceError,
-    EigenResult,
-    char_poly_eval,
-    jacobi_eigenvalues,
-    quotient_eigenvalues,
-)
+from .graphs import antiregular_adjacency, sequence_from_string
+from .oracle import ConvergenceError, EigenResult, jacobi_eigenvalues
 from .solver import (
     FORBIDDEN_HI,
     FORBIDDEN_LO,
     BracketRootError,
-    BracketSet,
-    SolverConfig,
     SpectrumResult,
-    asymptote_brackets,
-    branch_negative,
-    branch_positive,
-    branch_positive_derivative,
     closure_witness,
     eigenvalue_estimates,
-    extreme_eigenvalue_bounds,
     forbidden_interval_check,
-    innermost_eigenvalues,
-    lambda_max_midpoint_estimate,
-    last_bracket_ratio,
-    odd_ratio_negative,
-    odd_ratio_positive,
-    sine_ratio_even,
-    sine_ratio_odd,
     solve_spectrum,
-    symmetry_defect,
-    symmetry_defect_bound,
-    theta_of_lambda,
 )
-from .threshold import (
-    RunLengthSequence,
-    ScanReport,
-    enumerate_connected_threshold,
-    extremal_scan,
-    omega_scan,
-    quotient_matrix,
-    run_length_encode,
-    threshold_spectrum,
-)
+from .threshold import ScanReport, omega_scan, threshold_spectrum
 
 __version__ = "0.1.0"

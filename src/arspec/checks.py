@@ -68,13 +68,15 @@ def bracket_containment(spectra) -> CheckResult:
         # k positive roots; k - 1 negative ones for even n = 2k, k for odd
         if len(spec.positives) != spec.k or len(spec.negatives) != (n - 1) // 2:
             return fail("root count off at n=%d" % n)
-        angles = spec.thetas_pos + spec.thetas_neg
-        for theta, (lo, hi) in zip(angles, spec.brackets_pos + spec.brackets_neg):
-            if not lo < theta < hi:
-                return fail("angle %r escapes (%r, %r) at n=%d" % (theta, lo, hi, n))
+        for thetas in (spec.thetas_pos, spec.thetas_neg):
+            for j, theta in enumerate(thetas, start=1):
+                lo, hi = solver.bracket_poles(n, j)
+                if not lo < theta < hi:
+                    return fail("angle %r escapes (%r, %r) at n=%d" % (theta, lo, hi, n))
         if spec.parity == "odd":
             continue
-        for j, (lo, hi) in enumerate(spec.brackets_pos, start=1):
+        for j in range(1, spec.k + 1):
+            lo, hi = solver.bracket_poles(n, j)
             # the last bracket ends at pi, where the positive branch is unbounded
             upper = solver.branch_positive(hi) if j < spec.k else float("inf")
             if not solver.branch_positive(lo) < spec.positives[j - 1] < upper:

@@ -52,8 +52,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(args, text: str) -> None:
     if getattr(args, "out", None):
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _UsageError("cannot write --out %s: %s" % (args.out, exc.strerror or exc))
     else:
         sys.stdout.write(text)
 
@@ -206,7 +209,8 @@ def _figure_curves(k: int, points: int, parity: str) -> str:
     curves = "branch_positive,branch_negative" if even else "ratio_positive,ratio_negative"
     rows = ["theta,sine_ratio," + curves]
     span = points if even else points - 1  # even: stop short of pi, where the branches blow up
-    poles = solver.asymptote_brackets(k, parity).asymptotes[1:]
+    n = 2 * k if even else 2 * k + 1
+    poles = [solver.bracket_poles(n, j)[1] for j in range(1, k)]
     next_pole = 0
     for i in range(points):
         theta = math.pi * i / span
@@ -306,10 +310,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (_UsageError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
 

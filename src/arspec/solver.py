@@ -63,52 +63,28 @@ class BracketRootError(RuntimeError):
         self.bracket_index = bracket_index
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    theta_tolerance: float = 1e-13
-    max_bisection_iters: int = 200
-    bracket_inset: float = 1e-9  # relative to bracket width
-    scan_points_per_bracket: int = 32
-
-    def __post_init__(self):
-        if not self.theta_tolerance > 0.0:
-            raise ValueError("theta_tolerance must be positive")
-        if self.max_bisection_iters < 1:
-            raise ValueError("max_bisection_iters must be >= 1")
-        if not 0.0 < self.bracket_inset < 0.5:
-            raise ValueError("bracket_inset must lie in (0, 0.5)")
-        if self.scan_points_per_bracket < 2:
-            raise ValueError("scan_points_per_bracket must be >= 2")
+# Root isolation settings.
+_THETA_TOLERANCE = 1e-13  # widest final bisection interval accepted
+_MAX_BISECTION_ITERS = 200
+_BRACKET_INSET = 1e-9  # relative to bracket width
+_SCAN_POINTS = 32  # samples per bracket
 
 
-DEFAULT_CONFIG = SolverConfig()
+def bracket_poles(n: int, j: int) -> tuple[float, float]:
+    """Bracket j = 1..n//2 of the order-n sine ratio as (lo, hi).
 
-
-@dataclass(frozen=True)
-class BracketSet:
-    """Poles of the sine ratio, listed as gamma_0 = 0 < ... < gamma_{k-1}.
-
-    Consecutive entries (with pi appended) bound the root brackets.  For
-    even order 2k the spacing is 2 pi / (2k - 1); for odd order 2k + 1 it
-    is pi / k.
+    The ends are consecutive poles (j - 1) * step and j * step, except that
+    theta = 0 opens the first bracket and pi closes the last one.  For even
+    order 2k the step is 2 pi / (2k - 1); for odd order 2k + 1 it is pi / k.
     """
-
-    k: int
-    parity: str
-    asymptotes: tuple[float, ...]
-
-    def intervals(self) -> list[tuple[float, float]]:
-        edges = list(self.asymptotes) + [math.pi]
-        return [(edges[i], edges[i + 1]) for i in range(len(self.asymptotes))]
-
-
-def asymptote_brackets(k: int, parity: str) -> BracketSet:
-    if k < 1:
-        raise ValueError("need k >= 1, got %d" % k)
-    if parity not in ("even", "odd"):
-        raise ValueError("parity must be 'even' or 'odd', got %r" % (parity,))
-    step = _bracket_step(k, parity)
-    return BracketSet(k=k, parity=parity, asymptotes=tuple(j * step for j in range(k)))
+    n, j = int(n), int(j)
+    if n < 2:
+        raise ValueError("anti-regular graphs need n >= 2, got %d" % n)
+    k = n // 2
+    if not 1 <= j <= k:
+        raise ValueError("bracket index must lie in 1..%d, got %d" % (k, j))
+    step = _bracket_step(k, "odd" if n % 2 else "even")
+    return (j - 1) * step, (j * step if j < k else math.pi)
 
 
 def _bracket_step(k: int, parity: str) -> float:
@@ -258,7 +234,7 @@ def _check_k(k) -> int:
 # root isolation
 
 
-def _scan_sign_change(fn, lo, hi, cfg, include_lo=False, include_hi=False):
+def _scan_sign_change(fn, lo, hi, include_lo, include_hi):
     """Uniformly sample (lo, hi) inside a relative inset, return a sign pair.
 
     The inset keeps the samples off the poles at the excluded endpoints; it
@@ -266,8 +242,8 @@ def _scan_sign_change(fn, lo, hi, cfg, include_lo=False, include_hi=False):
     may hide between a pole and the innermost sample.
     """
     width = hi - lo
-    inset = cfg.bracket_inset
-    pts = cfg.scan_points_per_bracket
+    inset = _BRACKET_INSET
+    pts = _SCAN_POINTS
     for _ in range(7):
         a = lo if include_lo else lo + inset * width
         b = hi if include_hi else hi - inset * width
@@ -288,7 +264,7 @@ def _scan_sign_change(fn, lo, hi, cfg, include_lo=False, include_hi=False):
     )
 
 
-def _geometric_tail(fn, lo, hi, cfg):
+def _geometric_tail(fn, lo, hi):
     """Sign pair for a bracket whose root crowds the right endpoint.
 
     Samples hi - width/2, hi - width/4, ... so that a root at distance d
@@ -296,7 +272,7 @@ def _geometric_tail(fn, lo, hi, cfg):
     scan would need width/d of them.
     """
     width = hi - lo
-    inset = cfg.bracket_inset
+    inset = _BRACKET_INSET
     a = lo + inset * width
     fa = fn(a)
     tries = 0
@@ -323,17 +299,17 @@ def _geometric_tail(fn, lo, hi, cfg):
     raise BracketRootError("no sign change on the geometric mesh toward %r" % (hi,))
 
 
-def _bisect(fn, a, b, fa, fb, cfg):
+def _bisect(fn, a, b, fa, fb):
     """Bisect a sign change down to floating-point collision.
 
     Returns (root, |fn(root)|).  The loop stops when the midpoint equals an
     endpoint, so the final width is a couple of ulps, far below
-    theta_tolerance; the tolerance only serves as the acceptance check if
-    max_bisection_iters runs out first.
+    _THETA_TOLERANCE; the tolerance only serves as the acceptance check if
+    _MAX_BISECTION_ITERS runs out first.
     """
     if a == b:
         return a, 0.0
-    for _ in range(cfg.max_bisection_iters):
+    for _ in range(_MAX_BISECTION_ITERS):
         mid = 0.5 * (a + b)
         if not a < mid < b:
             break
@@ -344,26 +320,44 @@ def _bisect(fn, a, b, fa, fb, cfg):
             a, fa = mid, fm
         else:
             b, fb = mid, fm
-    if b - a > cfg.theta_tolerance:
+    if b - a > _THETA_TOLERANCE:
         raise BracketRootError(
             "bisection stopped at width %.3e above theta_tolerance %.3e"
-            % (b - a, cfg.theta_tolerance)
+            % (b - a, _THETA_TOLERANCE)
         )
     return (a, abs(fa)) if abs(fa) <= abs(fb) else (b, abs(fb))
 
 
-def _solve_bracket(fn, lo, hi, cfg, include_lo=False, include_hi=False,
-                   geometric=False, index=None):
+def _bracket_root(n: int, branch: str, j: int) -> tuple[float, float]:
+    """(theta, |residual|) of the order-n root on ``branch`` in bracket j.
+
+    branch is "positive" or "negative"; the eigenvalue is
+    branch_positive(theta) or branch_negative(theta).  The residual is the
+    sine ratio minus the branch curve (even n) or minus the branch image of
+    (2 - lambda^2) / (lambda (lambda + 1)) (odd n).  theta = 0 is sampled in
+    the first bracket and theta = pi in the last odd one; the last even
+    bracket, where the positive branch blows up, is searched on the
+    geometric mesh (it has no negative root).  The curves are looked up
+    when the call runs, so rebinding them reaches every evaluation.
+    """
+    k, odd = n // 2, n % 2 == 1
+    lo, hi = bracket_poles(n, j)
+    positive = branch == "positive"
+    if odd:
+        curve = odd_ratio_positive if positive else odd_ratio_negative
+        fn = lambda th: _ratio_odd(th, k) - curve(th)
+    else:
+        curve = branch_positive if positive else branch_negative
+        fn = lambda th: _ratio_even(th, k) - curve(th)
     try:
-        if geometric:
-            a, b, fa, fb = _geometric_tail(fn, lo, hi, cfg)
+        if positive and j == k and not odd:
+            a, b, fa, fb = _geometric_tail(fn, lo, hi)
         else:
-            a, b, fa, fb = _scan_sign_change(fn, lo, hi, cfg, include_lo, include_hi)
-        root, resid = _bisect(fn, a, b, fa, fb, cfg)
+            a, b, fa, fb = _scan_sign_change(fn, lo, hi, j == 1, odd and j == k)
+        return _bisect(fn, a, b, fa, fb)
     except BracketRootError as exc:
-        exc.bracket_index = index
+        exc.bracket_index = j
         raise
-    return root, resid
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +370,9 @@ class SpectrumResult:
 
     ``positives`` is ascending; ``negatives`` starts next to the forbidden
     interval and descends.  Both are in bracket order, paired with their
-    angles, residuals and bracket endpoints index by index.  ``residuals``
-    on the wire is the concatenation positives-then-negatives.
+    angles and residuals index by index: entry i (0-based) lies in
+    bracket_poles(n, i + 1).  ``residuals`` on the wire is the
+    concatenation positives-then-negatives.
     """
 
     n: int
@@ -388,8 +383,6 @@ class SpectrumResult:
     thetas_neg: list[float] = field(default_factory=list)
     residuals_pos: list[float] = field(default_factory=list)
     residuals_neg: list[float] = field(default_factory=list)
-    brackets_pos: list[tuple[float, float]] = field(default_factory=list)
-    brackets_neg: list[tuple[float, float]] = field(default_factory=list)
 
     @property
     def k(self) -> int:
@@ -419,15 +412,16 @@ class SpectrumResult:
     def to_csv(self) -> str:
         lines = ["index,sign_class,theta,lambda,residual,bracket_lo,bracket_hi"]
         lines.append("0,trivial,,%r,,," % self.trivial)
-        pos = (self.positives, self.thetas_pos, self.residuals_pos, self.brackets_pos)
-        neg = (self.negatives, self.thetas_neg, self.residuals_neg, self.brackets_neg)
+        pos = (self.positives, self.thetas_pos, self.residuals_pos)
+        neg = (self.negatives, self.thetas_neg, self.residuals_neg)
         for sign, columns in (("positive", pos), ("negative", neg)):
-            for i, (lam, theta, resid, (lo, hi)) in enumerate(zip(*columns), 1):
-                lines.append("%d,%s,%r,%r,%r,%r,%r" % (i, sign, theta, lam, resid, lo, hi))
+            for j, (lam, theta, resid) in enumerate(zip(*columns), 1):
+                lo, hi = bracket_poles(self.n, j)
+                lines.append("%d,%s,%r,%r,%r,%r,%r" % (j, sign, theta, lam, resid, lo, hi))
         return "\r\n".join(lines) + "\r\n"
 
 
-def solve_spectrum(n: int, config: SolverConfig | None = None) -> SpectrumResult:
+def solve_spectrum(n: int) -> SpectrumResult:
     """Spectrum of the anti-regular graph on n vertices, n >= 2.
 
     Solves one root per branch per bracket and inserts the trivial
@@ -438,57 +432,22 @@ def solve_spectrum(n: int, config: SolverConfig | None = None) -> SpectrumResult
     n = int(n)
     if n < 2:
         raise ValueError("anti-regular graphs need n >= 2, got %d" % n)
-    cfg = config if config is not None else DEFAULT_CONFIG
     k = n // 2
-    parity = "odd" if n % 2 else "even"
-    step = _bracket_step(k, parity)
-    if cfg.theta_tolerance >= step:
-        raise ValueError(
-            "theta_tolerance %.3e is not below the bracket width %.3e"
-            % (cfg.theta_tolerance, step)
-        )
-    brackets = asymptote_brackets(k, parity)
-    intervals = brackets.intervals()
     result = SpectrumResult(n=n, trivial=0.0 if n % 2 else -1.0)
-
-    if parity == "even":
-        pos_res = lambda th: _ratio_even(th, k) - branch_positive(th)
-        neg_res = lambda th: _ratio_even(th, k) - branch_negative(th)
-        for j, (lo, hi) in enumerate(intervals, start=1):
-            theta, resid = _solve_bracket(
-                pos_res, lo, hi, cfg,
-                include_lo=(j == 1), geometric=(j == k), index=j,
-            )
-            result.positives.append(branch_positive(theta))
-            result.thetas_pos.append(theta)
-            result.residuals_pos.append(resid)
-            result.brackets_pos.append((lo, hi))
-            if j <= k - 1:
-                theta, resid = _solve_bracket(
-                    neg_res, lo, hi, cfg, include_lo=(j == 1), index=j
-                )
-                result.negatives.append(branch_negative(theta))
-                result.thetas_neg.append(theta)
-                result.residuals_neg.append(resid)
-                result.brackets_neg.append((lo, hi))
-    else:
-        pos_res = lambda th: _ratio_odd(th, k) - odd_ratio_positive(th)
-        neg_res = lambda th: _ratio_odd(th, k) - odd_ratio_negative(th)
-        for j, (lo, hi) in enumerate(intervals, start=1):
-            for res_fn, lams, thetas, resids, bracks, branch in (
-                (pos_res, result.positives, result.thetas_pos,
-                 result.residuals_pos, result.brackets_pos, branch_positive),
-                (neg_res, result.negatives, result.thetas_neg,
-                 result.residuals_neg, result.brackets_neg, branch_negative),
-            ):
-                theta, resid = _solve_bracket(
-                    res_fn, lo, hi, cfg,
-                    include_lo=(j == 1), include_hi=(j == k), index=j,
-                )
-                lams.append(branch(theta))
-                thetas.append(theta)
-                resids.append(resid)
-                bracks.append((lo, hi))
+    branches = (
+        ("positive", branch_positive, result.positives, result.thetas_pos,
+         result.residuals_pos),
+        ("negative", branch_negative, result.negatives, result.thetas_neg,
+         result.residuals_neg),
+    )
+    for j in range(1, k + 1):
+        for branch, curve, lams, thetas, resids in branches:
+            if branch == "negative" and j == k and not n % 2:
+                continue  # the last even bracket has no negative root
+            theta, resid = _bracket_root(n, branch, j)
+            lams.append(curve(theta))
+            thetas.append(theta)
+            resids.append(resid)
     return result
 
 
@@ -540,7 +499,7 @@ def extreme_eigenvalue_bounds(spec: SpectrumResult) -> tuple[float, float]:
     return max_bound, min_bound
 
 
-def last_bracket_ratio(k: int, config: SolverConfig | None = None) -> float:
+def last_bracket_ratio(k: int) -> float:
     """Relative position of the largest eigenvalue's angle in its bracket.
 
     For order 2k, returns (theta_k - gamma_{k-1}) / (pi - gamma_{k-1}); the
@@ -550,12 +509,9 @@ def last_bracket_ratio(k: int, config: SolverConfig | None = None) -> float:
     k = int(k)
     if k < 2:
         raise ValueError("ratio needs k >= 2, got %d" % k)
-    cfg = config if config is not None else DEFAULT_CONFIG
-    step = _bracket_step(k, "even")
-    lo = (k - 1) * step
-    fn = lambda th: _ratio_even(th, k) - branch_positive(th)
-    theta, _ = _solve_bracket(fn, lo, math.pi, cfg, geometric=True, index=k)
-    return (theta - lo) / (math.pi - lo)
+    lo, hi = bracket_poles(2 * k, k)
+    theta, _ = _bracket_root(2 * k, "positive", k)
+    return (theta - lo) / (hi - lo)
 
 
 def lambda_max_midpoint_estimate(k: int) -> float:
@@ -565,14 +521,11 @@ def lambda_max_midpoint_estimate(k: int) -> float:
     about a percent already for k in the hundreds.
     """
     k = _check_k(k)
-    step = _bracket_step(k, "even")
-    mid = (k - 1) * step + 0.5 * (math.pi - (k - 1) * step)
-    return _ratio_even(mid, k)
+    lo, hi = bracket_poles(2 * k, k)
+    return _ratio_even(lo + 0.5 * (hi - lo), k)
 
 
-def innermost_eigenvalues(
-    k: int, config: SolverConfig | None = None
-) -> tuple[float, float | None]:
+def innermost_eigenvalues(k: int) -> tuple[float, float | None]:
     """First-bracket eigenvalue pair of the order-2k graph.
 
     These are the nontrivial eigenvalues closest to the forbidden interval;
@@ -581,18 +534,10 @@ def innermost_eigenvalues(
     root, reported as None.
     """
     k = _check_k(k)
-    cfg = config if config is not None else DEFAULT_CONFIG
-    step = _bracket_step(k, "even")
-    pos_fn = lambda th: _ratio_even(th, k) - branch_positive(th)
-    theta, _ = _solve_bracket(
-        pos_fn, 0.0, step, cfg, include_lo=True, geometric=(k == 1), index=1
-    )
-    lam_pos = branch_positive(theta)
+    lam_pos = branch_positive(_bracket_root(2 * k, "positive", 1)[0])
     if k == 1:
         return lam_pos, None
-    neg_fn = lambda th: _ratio_even(th, k) - branch_negative(th)
-    theta, _ = _solve_bracket(neg_fn, 0.0, step, cfg, include_lo=True, index=1)
-    return lam_pos, branch_negative(theta)
+    return lam_pos, branch_negative(_bracket_root(2 * k, "negative", 1)[0])
 
 
 def symmetry_defect(spec: SpectrumResult, j: int) -> float:
@@ -648,7 +593,8 @@ def closure_witness(
     the witness order stays modest.  y = 0 and y = -1 return the trivial
     witnesses (3, 0.0) and (2, -1.0).
 
-    Raises ValueError inside the gap and RuntimeError if no supported order
+    Raises ValueError inside the open gap (its endpoints are limits of
+    eigenvalues and get witnesses) and RuntimeError if no supported order
     (k up to about 8 million) satisfies epsilon.
     """
     if not epsilon > 0.0:
@@ -660,9 +606,9 @@ def closure_witness(
         return 3, 0.0
     if y == -1.0:
         return 2, -1.0
-    theta_prime = theta_of_lambda(y)
     if FORBIDDEN_LO < y < FORBIDDEN_HI:
         raise ValueError("no witness: %r lies inside the forbidden interval" % (y,))
+    theta_prime = theta_of_lambda(y)
     use_even = parity != "odd"
     par = "even" if use_even else "odd"
     positive = y > 0.0
@@ -676,7 +622,6 @@ def closure_witness(
         bound = branch_positive_derivative(gamma) * step
         return bound < epsilon, j
 
-    cfg = DEFAULT_CONFIG
     k = 2
     while k <= 8_388_608:
         ok, _ = feasible(k)
@@ -688,24 +633,16 @@ def closure_witness(
                     hi_k = mid
                 else:
                     lo_k = mid
-            k = hi_k
-            j = feasible(k)[1]
-            step = _bracket_step(k, par)
-            lo, hi = (j - 1) * step, j * step
-            if use_even:
-                branch = branch_positive if positive else branch_negative
-                fn = lambda th: _ratio_even(th, k) - branch(th)
-            else:
-                ratio = odd_ratio_positive if positive else odd_ratio_negative
-                fn = lambda th: _ratio_odd(th, k) - ratio(th)
-                branch = branch_positive if positive else branch_negative
-            theta, _ = _solve_bracket(fn, lo, hi, cfg, include_lo=(j == 1), index=j)
-            mu = branch(theta)
+            n = 2 * hi_k if use_even else 2 * hi_k + 1
+            theta, _ = _bracket_root(
+                n, "positive" if positive else "negative", feasible(hi_k)[1]
+            )
+            mu = branch_positive(theta) if positive else branch_negative(theta)
             if not abs(mu - y) < epsilon:
                 raise RuntimeError(
                     "witness bound violated: |%r - %r| >= %r" % (mu, y, epsilon)
                 )
-            return (2 * k if use_even else 2 * k + 1), float(mu)
+            return n, float(mu)
         k *= 2
     raise RuntimeError(
         "no witness order found for y=%r at epsilon=%r within supported range"

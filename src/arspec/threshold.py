@@ -154,9 +154,14 @@ def enumerate_connected_threshold(n: int):
     """
     if not 2 <= n <= MAX_SCAN_ORDER:
         raise ValueError("enumeration supports 2 <= n <= %d, got %d" % (MAX_SCAN_ORDER, n))
+    for m in range(1 << (n - 2)):
+        yield _creation_sequence(n, m)
+
+
+def _creation_sequence(n: int, m: int) -> tuple[int, ...]:
+    """0, the n - 2 bits of m most-significant first, then 1."""
     middle = n - 2
-    for m in range(1 << middle):
-        yield (0,) + tuple((m >> (middle - 1 - i)) & 1 for i in range(middle)) + (1,)
+    return (0,) + tuple((m >> (middle - 1 - i)) & 1 for i in range(middle)) + (1,)
 
 
 @dataclass
@@ -228,13 +233,12 @@ def _graph_stats(bits):
 
 def _scan_range(n: int, start: int, stop: int):
     """Scan creation sequences with middle bits in [start, stop)."""
-    middle = n - 2
     count = 0
     violations: list[tuple[str, float]] = []
     best_min: tuple[str, float] | None = None
     best_max: tuple[str, float] | None = None
     for m in range(start, stop):
-        bits = (0,) + tuple((m >> (middle - 1 - i)) & 1 for i in range(middle)) + (1,)
+        bits = _creation_sequence(n, m)
         seq = sequence_to_string(bits)
         viols, min_pos, max_neg = _graph_stats(bits)
         count += 1

@@ -171,3 +171,11 @@ def test_out_writes_file(tmp_path, capsys):
     assert out == ""
     data = target.read_bytes()
     assert data.startswith(b"n,computed,reference,delta\r\n")
+
+
+def test_out_unwritable_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "spectrum", "--n", "4", "--out", str(target))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: cannot write --out %s: No such file or directory\n" % target

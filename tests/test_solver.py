@@ -5,13 +5,13 @@ import pytest
 
 from arspec.graphs import antiregular_adjacency
 from arspec.oracle import jacobi_eigenvalues
+from arspec import solver
 from arspec.solver import (
     FORBIDDEN_HI,
     FORBIDDEN_LO,
     BracketRootError,
-    SolverConfig,
-    _solve_bracket,
-    asymptote_brackets,
+    _bracket_root,
+    bracket_poles,
     branch_negative,
     branch_positive,
     branch_positive_derivative,
@@ -189,26 +189,24 @@ def test_odd_ratio_consistent_with_branches():
 
 
 def test_bracket_positions_even():
-    bs = asymptote_brackets(8, "even")
     step = 2.0 * math.pi / 15.0
-    assert bs.asymptotes == tuple(j * step for j in range(8))
-    assert bs.asymptotes[3] == pytest.approx(6.0 * math.pi / 15.0, rel=1e-15)
-    ivs = bs.intervals()
-    assert len(ivs) == 8
-    assert ivs[-1][1] == math.pi
+    ivs = [bracket_poles(16, j) for j in range(1, 9)]
+    assert ivs == [(j * step, (j + 1) * step) for j in range(7)] + [(7 * step, math.pi)]
+    assert bracket_poles(16, 4)[0] == pytest.approx(6.0 * math.pi / 15.0, rel=1e-15)
 
 
 def test_bracket_positions_odd():
-    bs = asymptote_brackets(5, "odd")
-    assert bs.asymptotes == tuple(j * math.pi / 5.0 for j in range(5))
+    ivs = [bracket_poles(11, j) for j in range(1, 6)]
+    assert [lo for lo, _ in ivs] == [j * math.pi / 5.0 for j in range(5)]
+    assert [hi for _, hi in ivs] == [j * math.pi / 5.0 for j in range(1, 5)] + [math.pi]
 
 
 def test_bracket_degenerate_and_errors():
-    assert asymptote_brackets(1, "even").asymptotes == (0.0,)
-    with pytest.raises(ValueError):
-        asymptote_brackets(0, "even")
-    with pytest.raises(ValueError):
-        asymptote_brackets(3, "mixed")
+    assert bracket_poles(2, 1) == (0.0, math.pi)
+    assert bracket_poles(3, 1) == (0.0, math.pi)
+    for n, j in ((1, 1), (8, 0), (8, 5), (9, 5)):
+        with pytest.raises(ValueError):
+            bracket_poles(n, j)
 
 
 # --- full spectra -----------------------------------------------------------
@@ -248,10 +246,10 @@ def test_root_counts_and_containment():
         k = n // 2
         assert len(spec.positives) == k
         assert len(spec.negatives) == (k if n % 2 else k - 1)
-        for theta, (lo, hi) in zip(
-            spec.thetas_pos + spec.thetas_neg, spec.brackets_pos + spec.brackets_neg
-        ):
-            assert lo < theta < hi
+        for thetas in (spec.thetas_pos, spec.thetas_neg):
+            for j, theta in enumerate(thetas, start=1):
+                lo, hi = bracket_poles(n, j)
+                assert lo < theta < hi
 
 
 def test_positives_ascend_negatives_descend():
@@ -264,26 +262,26 @@ def test_positives_ascend_negatives_descend():
 def test_solve_spectrum_validation():
     with pytest.raises(ValueError):
         solve_spectrum(1)
-    with pytest.raises(ValueError):
-        solve_spectrum(10, SolverConfig(theta_tolerance=1.0))
 
 
-def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(theta_tolerance=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_bisection_iters=0)
-    with pytest.raises(ValueError):
-        SolverConfig(bracket_inset=0.7)
-    with pytest.raises(ValueError):
-        SolverConfig(scan_points_per_bracket=1)
-
-
-def test_bracket_error_carries_index():
-    cfg = SolverConfig()
+def test_bracket_error_carries_index(monkeypatch):
+    # a curve above every ratio value leaves bracket 5 without a sign change
+    monkeypatch.setattr(solver, "odd_ratio_positive", lambda theta: math.inf)
     with pytest.raises(BracketRootError) as info:
-        _solve_bracket(lambda th: 1.0, 0.1, 0.2, cfg, index=5)
+        _bracket_root(21, "positive", 5)
     assert info.value.bracket_index == 5
+
+
+def test_single_bracket_entry_points_match_full_solve():
+    k = 13
+    spec = solve_spectrum(2 * k)
+    lo, hi = bracket_poles(2 * k, k)
+    assert last_bracket_ratio(k) == (spec.thetas_pos[-1] - lo) / (hi - lo)
+    assert innermost_eigenvalues(k) == (spec.positives[0], spec.negatives[0])
+    for target, parity in ((0.3, "any"), (-2.0, "even"), (0.4, "odd")):
+        n, mu = closure_witness(target, 1e-2, parity)
+        spec = solve_spectrum(n)
+        assert mu in (spec.positives if target > 0 else spec.negatives)
 
 
 def test_huge_order_argument_reduction():
@@ -322,6 +320,14 @@ def test_spectrum_csv_shape():
     row = lines[2].split(",")
     assert row[1] == "positive"
     assert float(row[3]) > 0.0
+    # bracket j runs from pole (j - 1) step to pole j step, the last one to pi
+    for n, step in ((8, 2.0 * math.pi / 7.0), (9, math.pi / 4.0)):
+        rows = [line.split(",") for line in solve_spectrum(n).to_csv().split("\r\n")[2:-1]]
+        assert len(rows) == n - 1
+        for row in rows:
+            j = int(row[0])
+            assert float(row[5]) == (j - 1) * step
+            assert float(row[6]) == (j * step if j < n // 2 else math.pi)
 
 
 # --- derived quantities -----------------------------------------------------
@@ -445,9 +451,24 @@ def test_witness_odd_parity():
     assert abs(mu - 0.4) < 1e-3
 
 
+@pytest.mark.parametrize(
+    "target, expected",
+    [
+        (0.05, "no witness"),  # deep inside: no angle exists
+        (-0.5, "no witness"),
+        (FORBIDDEN_HI - 1e-13, "no witness"),  # inside by less than the angle clamp
+        (FORBIDDEN_HI, (62, 0.20755108904310338)),  # the endpoint is a limit point
+    ],
+)
+def test_witness_gap_is_open(target, expected):
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match=expected):
+            closure_witness(target, 1e-3)
+    else:
+        assert closure_witness(target, 1e-3) == expected
+
+
 def test_witness_rejects_gap_and_bad_epsilon():
-    with pytest.raises(ValueError):
-        closure_witness(0.05, 1e-3)
     with pytest.raises(ValueError):
         closure_witness(0.3, 0.0)
     with pytest.raises(ValueError):
