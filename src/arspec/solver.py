@@ -21,12 +21,13 @@ branch image of (2 - lambda^2) / (lambda (lambda + 1)).
 
 The ratio has k - 1 (even) or k - 1 (odd, interior) poles that split (0, pi)
 into brackets, and each bracket carries exactly one root per branch (the
-even case loses the negative-branch root of the last bracket).  The solver
-samples each bracket just inside its poles, locates the sign change, and
-bisects until the floating-point midpoint collides with an endpoint, so the
-residual is limited only by evaluation noise.  Near theta = pi the positive
-branch blows up like 1/(pi - theta); the last even bracket is therefore
-scanned on a geometric mesh approaching pi instead of a uniform one.
+even case loses the negative-branch root of the last bracket).  The sign of
+the residual next to each bracket end follows from the parity alone:
+positive just right of the left end for even order, negative for odd, and
+the opposite sign at the right end.  The solver therefore bisects each whole
+bracket from that known sign, never evaluating an end, until the
+floating-point midpoint collides with an end, so the residual is limited
+only by evaluation noise.
 
 Everything is plain float arithmetic except one guard: for k above one
 million the reduction of k * theta modulo 2 pi is done in exact rational
@@ -66,8 +67,6 @@ class BracketRootError(RuntimeError):
 # Root isolation settings.
 _THETA_TOLERANCE = 1e-13  # widest final bisection interval accepted
 _MAX_BISECTION_ITERS = 200
-_BRACKET_INSET = 1e-9  # relative to bracket width
-_SCAN_POINTS = 32  # samples per bracket
 
 
 def bracket_poles(n: int, j: int) -> tuple[float, float]:
@@ -234,81 +233,37 @@ def _check_k(k) -> int:
 # root isolation
 
 
-def _scan_sign_change(fn, lo, hi, include_lo, include_hi):
-    """Uniformly sample (lo, hi) inside a relative inset, return a sign pair.
+def _bracket_root(n: int, branch: str, j: int) -> tuple[float, float]:
+    """(theta, |residual|) of the order-n root on ``branch`` in bracket j.
 
-    The inset keeps the samples off the poles at the excluded endpoints; it
-    is halved up to six times when no sign change shows up, since the root
-    may hide between a pole and the innermost sample.
+    branch is "positive" or "negative"; the eigenvalue is
+    branch_positive(theta) or branch_negative(theta).  The residual is the
+    sine ratio minus the branch curve (even n) or minus the branch image of
+    (2 - lambda^2) / (lambda (lambda + 1)) (odd n).  Its sign at both ends
+    of bracket_poles(n, j) is known in advance: just right of the left end
+    it is positive for even n (R(0) - B(0) > 0 in bracket 1, and the ratio
+    tends to +inf past every interior pole) and negative for odd n; at the
+    right end it is the opposite one (the ratio tends to -inf or +inf before
+    a pole, the odd residual is 1/k at pi, and the positive even branch
+    tends to +inf at pi).  So the whole bracket is bisected from the
+    left-end sign and neither end is evaluated.  A bisection that never
+    moved one of the ends saw no sign change and raises BracketRootError.
+    The curves are looked up when the call runs, so rebinding them reaches
+    every evaluation.
+
+    The loop stops when the midpoint equals an end, so the final width is
+    a couple of ulps, far below _THETA_TOLERANCE; the tolerance only serves
+    as the acceptance check if _MAX_BISECTION_ITERS runs out first.
     """
-    width = hi - lo
-    inset = _BRACKET_INSET
-    pts = _SCAN_POINTS
-    for _ in range(7):
-        a = lo if include_lo else lo + inset * width
-        b = hi if include_hi else hi - inset * width
-        if not a < b:
-            inset *= 0.5
-            continue
-        xs = [a + (b - a) * i / (pts - 1) for i in range(pts)]
-        vals = [fn(x) for x in xs]
-        for i in range(pts):
-            if vals[i] == 0.0:
-                return xs[i], xs[i], 0.0, 0.0
-        for i in range(1, pts):
-            if (vals[i - 1] < 0.0) != (vals[i] < 0.0):
-                return xs[i - 1], xs[i], vals[i - 1], vals[i]
-        inset *= 0.5
-    raise BracketRootError(
-        "no sign change found in (%r, %r) after inset refinement" % (lo, hi)
-    )
-
-
-def _geometric_tail(fn, lo, hi):
-    """Sign pair for a bracket whose root crowds the right endpoint.
-
-    Samples hi - width/2, hi - width/4, ... so that a root at distance d
-    from hi is found after about log2(width/d) evaluations, where a uniform
-    scan would need width/d of them.
-    """
-    width = hi - lo
-    inset = _BRACKET_INSET
-    a = lo + inset * width
-    fa = fn(a)
-    tries = 0
-    while fa < 0.0 and tries < 6:
-        inset *= 0.5
-        a = lo + inset * width
-        fa = fn(a)
-        tries += 1
-    if fa == 0.0:
-        return a, a, 0.0, 0.0
-    if fa < 0.0:
-        raise BracketRootError("left anchor stayed negative next to the pole")
-    prev, fprev = a, fa
-    for i in range(1, 64):
-        x = hi - width * (0.5 ** i)
-        if x <= prev:
-            continue
-        fx = fn(x)
-        if fx == 0.0:
-            return x, x, 0.0, 0.0
-        if (fx < 0.0) != (fprev < 0.0):
-            return prev, x, fprev, fx
-        prev, fprev = x, fx
-    raise BracketRootError("no sign change on the geometric mesh toward %r" % (hi,))
-
-
-def _bisect(fn, a, b, fa, fb):
-    """Bisect a sign change down to floating-point collision.
-
-    Returns (root, |fn(root)|).  The loop stops when the midpoint equals an
-    endpoint, so the final width is a couple of ulps, far below
-    _THETA_TOLERANCE; the tolerance only serves as the acceptance check if
-    _MAX_BISECTION_ITERS runs out first.
-    """
-    if a == b:
-        return a, 0.0
+    k, odd = n // 2, n % 2 == 1
+    a, b = bracket_poles(n, j)
+    if odd:
+        curve = odd_ratio_positive if branch == "positive" else odd_ratio_negative
+        fn = lambda th: _ratio_odd(th, k) - curve(th)
+    else:
+        curve = branch_positive if branch == "positive" else branch_negative
+        fn = lambda th: _ratio_even(th, k) - curve(th)
+    fa = fb = None
     for _ in range(_MAX_BISECTION_ITERS):
         mid = 0.5 * (a + b)
         if not a < mid < b:
@@ -316,48 +271,19 @@ def _bisect(fn, a, b, fa, fb):
         fm = fn(mid)
         if fm == 0.0:
             return mid, 0.0
-        if (fm < 0.0) == (fa < 0.0):
+        if (fm < 0.0) == odd:
             a, fa = mid, fm
         else:
             b, fb = mid, fm
+    if fa is None or fb is None:
+        raise BracketRootError("no sign change in bracket %d of order %d" % (j, n), j)
     if b - a > _THETA_TOLERANCE:
         raise BracketRootError(
             "bisection stopped at width %.3e above theta_tolerance %.3e"
-            % (b - a, _THETA_TOLERANCE)
+            % (b - a, _THETA_TOLERANCE),
+            j,
         )
     return (a, abs(fa)) if abs(fa) <= abs(fb) else (b, abs(fb))
-
-
-def _bracket_root(n: int, branch: str, j: int) -> tuple[float, float]:
-    """(theta, |residual|) of the order-n root on ``branch`` in bracket j.
-
-    branch is "positive" or "negative"; the eigenvalue is
-    branch_positive(theta) or branch_negative(theta).  The residual is the
-    sine ratio minus the branch curve (even n) or minus the branch image of
-    (2 - lambda^2) / (lambda (lambda + 1)) (odd n).  theta = 0 is sampled in
-    the first bracket and theta = pi in the last odd one; the last even
-    bracket, where the positive branch blows up, is searched on the
-    geometric mesh (it has no negative root).  The curves are looked up
-    when the call runs, so rebinding them reaches every evaluation.
-    """
-    k, odd = n // 2, n % 2 == 1
-    lo, hi = bracket_poles(n, j)
-    positive = branch == "positive"
-    if odd:
-        curve = odd_ratio_positive if positive else odd_ratio_negative
-        fn = lambda th: _ratio_odd(th, k) - curve(th)
-    else:
-        curve = branch_positive if positive else branch_negative
-        fn = lambda th: _ratio_even(th, k) - curve(th)
-    try:
-        if positive and j == k and not odd:
-            a, b, fa, fb = _geometric_tail(fn, lo, hi)
-        else:
-            a, b, fa, fb = _scan_sign_change(fn, lo, hi, j == 1, odd and j == k)
-        return _bisect(fn, a, b, fa, fb)
-    except BracketRootError as exc:
-        exc.bracket_index = j
-        raise
 
 
 # ---------------------------------------------------------------------------
