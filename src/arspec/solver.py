@@ -48,6 +48,9 @@ FORBIDDEN_HI = (math.sqrt(2.0) - 1.0) / 2.0
 # Largest sine multiplier evaluated as a plain float product.
 _DIRECT_MULT_LIMIT = 1_000_000
 
+# pi minus its double rounding math.pi.
+_PI_LO = 1.2246467991473532e-16
+
 # 2 pi to 60 significant digits, for exact-rational argument reduction.
 _TWO_PI = Fraction("6.28318530717958647692528676655900576839433879875021164194989")
 
@@ -151,9 +154,15 @@ def branch_positive_derivative(theta: float) -> float:
 
 def _sin_mult(j: int, theta: float) -> float:
     # sin(j * theta); exact-rational reduction once j would erase too many
-    # low bits of the angle in the float product.
+    # low bits of the angle in the float product.  Above pi/2 the product
+    # is taken on the supplement instead, pi - theta being exact there:
+    # sin(j theta) = (-1)^(j+1) sin(j (pi - theta)), which keeps the low
+    # bits of the angle as theta approaches pi.
     if j <= _DIRECT_MULT_LIMIT:
-        return math.sin(j * theta)
+        if theta <= 0.5 * math.pi:
+            return math.sin(j * theta)
+        s = math.sin(j * ((math.pi - theta) + _PI_LO))
+        return s if j % 2 else -s
     reduced = (Fraction(j) * Fraction(theta)) % _TWO_PI
     return math.sin(float(reduced))
 
