@@ -29,10 +29,11 @@ bracket from that known sign, never evaluating an end, until the
 floating-point midpoint collides with an end, so the residual is limited
 only by evaluation noise.
 
-Everything is plain float arithmetic except one guard: for k above one
-million the reduction of k * theta modulo 2 pi is done in exact rational
-arithmetic before taking the sine, because the naive product loses about
-log2(k) bits of the angle.
+Everything is plain float arithmetic with two guards on sin(k theta),
+whose naive product loses about log2(k) bits of the angle: above pi/2 the
+multiple is taken of the exact supplement pi - theta, which keeps odd
+orders accurate next to pi, and for k above one million the reduction of
+k * theta modulo 2 pi is done in exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -100,9 +101,15 @@ def theta_of_lambda(lam: float) -> float:
 
     Raises ValueError for lam strictly inside the forbidden interval, where
     the cosine argument leaves [-1, 1] (the denominator vanishes at the
-    trivial eigenvalues 0 and -1, which also lie inside).
+    trivial eigenvalues 0 and -1, which also lie inside).  Non-finite lam
+    has no angle either; huge finite lam tends to pi.
     """
     lam = float(lam)
+    if not math.isfinite(lam):
+        raise ValueError("no angle: %r is not finite" % (lam,))
+    if abs(lam) > 1e150:
+        inv = 1.0 / lam  # the formula below divided through by lam^2, which overflows
+        return math.acos((inv * inv - 2.0 * inv - 2.0) / (2.0 + 2.0 * inv))
     den = 2.0 * lam * (lam + 1.0)
     if den == 0.0:
         raise ValueError("no angle: %r lies inside the forbidden interval" % (lam,))
@@ -248,21 +255,17 @@ def _bracket_root(n: int, branch: str, j: int) -> tuple[float, float]:
     branch is "positive" or "negative"; the eigenvalue is
     branch_positive(theta) or branch_negative(theta).  The residual is the
     sine ratio minus the branch curve (even n) or minus the branch image of
-    (2 - lambda^2) / (lambda (lambda + 1)) (odd n).  Its sign at both ends
-    of bracket_poles(n, j) is known in advance: just right of the left end
-    it is positive for even n (R(0) - B(0) > 0 in bracket 1, and the ratio
-    tends to +inf past every interior pole) and negative for odd n; at the
-    right end it is the opposite one (the ratio tends to -inf or +inf before
-    a pole, the odd residual is 1/k at pi, and the positive even branch
-    tends to +inf at pi).  So the whole bracket is bisected from the
-    left-end sign and neither end is evaluated.  A bisection that never
-    moved one of the ends saw no sign change and raises BracketRootError.
-    The curves are looked up when the call runs, so rebinding them reaches
-    every evaluation.
-
-    The loop stops when the midpoint equals an end, so the final width is
-    a couple of ulps, far below _THETA_TOLERANCE; the tolerance only serves
-    as the acceptance check if _MAX_BISECTION_ITERS runs out first.
+    (2 - lambda^2) / (lambda (lambda + 1)) (odd n).  Next to the left end of
+    bracket_poles(n, j) it is positive for even n (R(0) - B(0) > 0 in
+    bracket 1, the ratio tends to +inf past each pole) and negative for odd
+    n; next to the right end it has the other sign (the ratio tends to -inf
+    or +inf before a pole; at pi the odd residual is 1/k and the positive
+    even branch tends to +inf).  The whole bracket is bisected from that
+    sign without evaluating either end, down to float collision; an end
+    that never moved means no sign change and raises BracketRootError.
+    _THETA_TOLERANCE only judges a loop that ran out of
+    _MAX_BISECTION_ITERS.  The curves are looked up when the call runs, so
+    rebinding them reaches every evaluation.
     """
     k, odd = n // 2, n % 2 == 1
     a, b = bracket_poles(n, j)
@@ -280,7 +283,7 @@ def _bracket_root(n: int, branch: str, j: int) -> tuple[float, float]:
         fm = fn(mid)
         if fm == 0.0:
             return mid, 0.0
-        if (fm < 0.0) == odd:
+        if (fm < 0.0) == odd:  # the sign next to the left end
             a, fa = mid, fm
         else:
             b, fb = mid, fm

@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import pytest
 
 from arspec.graphs import antiregular_adjacency
@@ -54,10 +55,17 @@ def test_theta_of_lambda_boundary_clamps_to_zero():
     assert theta_of_lambda(FORBIDDEN_LO) == pytest.approx(0.0, abs=1e-7)
 
 
-@pytest.mark.parametrize("lam", [0.0, -1.0, 0.1, -0.5, -1.2, 0.2])
+@pytest.mark.parametrize("lam", [0.0, -1.0, 0.1, -0.5, -1.2, 0.2, math.inf, math.nan])
 def test_theta_of_lambda_rejects_gap(lam):
     with pytest.raises(ValueError):
         theta_of_lambda(lam)
+
+
+def test_theta_of_lambda_huge():
+    # lam * lam overflows here; the angle still tends to pi
+    assert theta_of_lambda(1e300) == pytest.approx(math.pi, rel=1e-15)
+    with pytest.raises(RuntimeError, match="no witness order found"):
+        closure_witness(1e300, 1e-3)
 
 
 def test_branch_values_at_zero():
@@ -284,10 +292,50 @@ def test_single_bracket_entry_points_match_full_solve():
         assert mu in (spec.positives if target > 0 else spec.negatives)
 
 
-def test_huge_order_argument_reduction():
+@pytest.mark.parametrize("k", [2_000_000, 2_483_630, 5_098_402])
+def test_huge_order_argument_reduction(k):
     # one bracket solved with the exact-rational sine path (k > 10^6)
-    ratio = last_bracket_ratio(2_000_000)
+    ratio = last_bracket_ratio(k)
     assert 0.5 < ratio < 0.5001
+
+
+def _reference_brackets():
+    for n in (1501, 15001, 100000):
+        k = n // 2
+        for j in (1, 2, k // 2, k - 1, k):
+            for branch in ("positive", "negative"):
+                if not (branch == "negative" and j == k and n % 2 == 0):
+                    yield n, branch, j
+    for k in (2_483_630, 5_098_402):
+        yield 2 * k, "positive", k
+
+
+@pytest.mark.parametrize("n, branch, j", list(_reference_brackets()))
+def test_roots_match_mpmath_reference(n, branch, j):
+    # the defining equation at 40 digits, solved from the float root
+    k, sign = n // 2, (1 if branch == "positive" else -1)
+    theta, _ = _bracket_root(n, branch, j)
+    with mpmath.workdps(40):
+
+        def lam(t):
+            return (-1 + sign * mpmath.sqrt((mpmath.cos(t) + 3) / (mpmath.cos(t) + 1))) / 2
+
+        def residual(t):
+            if n % 2:
+                return mpmath.sin((k - 1) * t) / mpmath.sin(k * t) - (2 - lam(t) ** 2) / (
+                    lam(t) * (lam(t) + 1))
+            return mpmath.sin(k * t) / (mpmath.sin(k * t) + mpmath.sin((k - 1) * t)) - lam(t)
+
+        t0 = mpmath.mpf(theta)
+        root = mpmath.findroot(residual, (t0, t0 * (1 + mpmath.mpf("1e-13"))))
+        lo, hi = bracket_poles(n, j)
+        assert lo < root < hi
+        assert abs(theta - root) <= 2 * math.ulp(theta)
+        lam_ref = lam(root)
+        lam_got = branch_positive(theta) if sign > 0 else branch_negative(theta)
+        # above k = 10^6 one ulp of theta alone moves lambda by more than 1e-10
+        slope = branch_positive_derivative(theta)
+        assert abs(lam_got - lam_ref) <= max(1e-10 * abs(lam_ref), 2 * math.ulp(theta) * slope)
 
 
 # --- wire formats -----------------------------------------------------------
