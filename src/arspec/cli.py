@@ -50,6 +50,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _check_out(args) -> None:
+    """Fail fast when --out cannot be opened for writing.  Verbs call this
+    after their own argument checks and before the costly work; append mode
+    leaves an existing file as it is until _emit replaces it."""
+    if getattr(args, "out", None):
+        try:
+            open(args.out, "a").close()
+        except OSError as exc:
+            raise _UsageError("cannot write --out %s: %s" % (args.out, exc.strerror or exc))
+
+
 def _emit(args, text: str) -> None:
     if getattr(args, "out", None):
         try:
@@ -76,6 +87,7 @@ def cmd_spectrum(args) -> int:
         raise _UsageError(
             "dense oracle capped at n=%d, got %d" % (DENSE_MAX_ORDER, args.n)
         )
+    _check_out(args)
     result = dense = None
     if args.method in ("cheb", "both"):
         result = solver.solve_spectrum(args.n)
@@ -121,6 +133,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_table1(args) -> int:
+    _check_out(args)
     entries = []
     worst = 0.0
     for n in sorted(TABLE1_REFERENCE):
@@ -148,6 +161,7 @@ def cmd_table1(args) -> int:
 def cmd_verify(args) -> int:
     if not 2 <= args.n_max <= 500:
         raise _UsageError("verify needs 2 <= --n-max <= 500, got %d" % args.n_max)
+    _check_out(args)
     spectra = {n: solver.solve_spectrum(n) for n in range(2, args.n_max + 1)}
     innermost = {k: solver.innermost_eigenvalues(k) for k in range(1, args.n_max // 2 + 1)}
     results = [
@@ -168,6 +182,8 @@ def cmd_scan(args) -> int:
         raise _UsageError(
             "scan supports 2 <= --n <= %d, got %d" % (threshold.MAX_SCAN_ORDER, args.n)
         )
+    threshold._resolve_workers(args.workers)  # a bad value is a usage error before --out opens
+    _check_out(args)
     report = threshold.omega_scan(args.n, workers=args.workers)
     if args.format == "json":
         _emit(args, report.to_json() + "\n")
@@ -231,6 +247,7 @@ def cmd_figure_data(args) -> int:
         raise _UsageError("figure-data needs --k >= 2, got %d" % args.k)
     if args.points < 10:
         raise _UsageError("figure-data needs --points >= 10, got %d" % args.points)
+    _check_out(args)
     if args.which == "theta":
         text = _figure_theta(args.points)
     elif args.which in ("even-curves", "odd-curves"):
@@ -280,7 +297,8 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True, help="graph order, 2..26")
     p.add_argument("--check", choices=("omega", "extremal", "both"), default="both")
     p.add_argument("--workers", type=int, default=None,
-                   help="parallel scan processes (ARSPEC_THREADS caps this)")
+                   help="accepted and validated (>= 1, ARSPEC_THREADS caps it);"
+                   " the scan is one vectorised pass either way")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out")
     p.set_defaults(func=cmd_scan)

@@ -15,10 +15,6 @@ single value.  Its even-order adjacency matrix is permutation-conjugate to a
 
 from __future__ import annotations
 
-import csv
-import io
-import json
-
 import numpy as np
 
 
@@ -178,50 +174,3 @@ def sequence_from_string(text: str) -> tuple[int, ...]:
         raise ValueError("creation sequence string must be nonempty over {0,1}")
     return _check_sequence(int(ch) for ch in text)
 
-
-def matrix_to_json(a) -> str:
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square, got shape %r" % (a.shape,))
-    if np.issubdtype(a.dtype, np.integer):
-        entries = [[int(x) for x in row] for row in a]
-    else:
-        entries = [[float(x) for x in row] for row in a]
-    return json.dumps({"order": int(a.shape[0]), "entries": entries})
-
-
-def matrix_from_json(text: str) -> np.ndarray:
-    doc = json.loads(text)
-    entries = doc["entries"]
-    if len(entries) != doc["order"] or any(len(r) != doc["order"] for r in entries):
-        raise ValueError("entry table does not match declared order")
-    arr = np.array(entries)
-    if arr.dtype == object:
-        raise ValueError("entries must be numeric")
-    return arr
-
-
-def matrix_to_csv(a) -> str:
-    """One CRLF-terminated row of entries per matrix row, no header."""
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square, got shape %r" % (a.shape,))
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    integral = np.issubdtype(a.dtype, np.integer)
-    for row in a:
-        writer.writerow([int(x) if integral else repr(float(x)) for x in row])
-    return buf.getvalue()
-
-
-def matrix_from_csv(text: str) -> np.ndarray:
-    rows = [r for r in csv.reader(io.StringIO(text)) if r]
-    if not rows:
-        raise ValueError("no rows to parse")
-    values = [[float(x) for x in row] for row in rows]
-    if len({len(r) for r in values}) != 1 or len(values) != len(values[0]):
-        raise ValueError("rows do not form a square matrix")
-    arr = np.array(values)
-    if np.all(arr == np.round(arr)):
-        return arr.astype(np.int64)
-    return arr

@@ -8,20 +8,21 @@ cell j.  Its eigenvalues, together with -1 repeated once per surplus clique
 vertex and 0 once per surplus independent vertex, recover the full spectrum
 exactly; cells of size zero are dropped.
 
-The scan operations enumerate every connected threshold graph of a given
-order (creation sequences 0...1 over the free middle bits, 2^(n-2) graphs)
-and check two spectral statements against the dense oracle: no nontrivial
-eigenvalue falls inside the forbidden interval, and the eigenvalues nearest
-that interval over the whole family belong to the anti-regular graph.
+The scans cover every connected threshold graph of a given order
+(creation sequences 0...1 over the free middle bits, 2^(n-2) graphs) and
+check two spectral statements: no nontrivial eigenvalue falls inside the
+forbidden interval, and the eigenvalues nearest that interval over the
+whole family belong to the anti-regular graph.  Exact eigenvalue counts by
+Sylvester inertia decide every graph at once; the dense oracle runs only
+on the few graphs the counts flag, so reported values are dense ones.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,11 +67,7 @@ class RunLengthSequence:
         return sum(s + t for s, t in self.runs)
 
     def expand(self) -> tuple[int, ...]:
-        bits: list[int] = []
-        for s, t in self.runs:
-            bits.extend([0] * s)
-            bits.extend([1] * t)
-        return tuple(bits)
+        return tuple(bit for s, t in self.runs for bit in (0,) * s + (1,) * t)
 
 
 def run_length_encode(bits) -> RunLengthSequence:
@@ -82,19 +79,8 @@ def run_length_encode(bits) -> RunLengthSequence:
     b = _check_sequence(bits)
     if b[-1] != 1:
         raise ValueError("creation sequence ends in 0: graph is disconnected")
-    runs: list[tuple[int, int]] = []
-    i = 0
-    while i < len(b):
-        s = 0
-        while b[i] == 0:
-            s += 1
-            i += 1
-        t = 0
-        while i < len(b) and b[i] == 1:
-            t += 1
-            i += 1
-        runs.append((s, t))
-    return RunLengthSequence(runs=tuple(runs))
+    lengths = [len(list(run)) for _, run in itertools.groupby(b)]  # 0-run, 1-run, ...
+    return RunLengthSequence(runs=tuple(zip(lengths[::2], lengths[1::2])))
 
 
 def quotient_matrix(rl: RunLengthSequence) -> tuple[np.ndarray, list[int]]:
@@ -138,10 +124,8 @@ def threshold_spectrum(bits, method: str = "quotient") -> list[float]:
     eigs.extend([0.0] * sum(max(s - 1, 0) for s, _ in rl.runs))
     eigs.extend([-1.0] * sum(t - 1 for _, t in rl.runs))
     if len(eigs) != len(b):
-        raise RuntimeError(
-            "quotient bookkeeping produced %d eigenvalues for n=%d"
-            % (len(eigs), len(b))
-        )
+        raise RuntimeError("quotient bookkeeping produced %d eigenvalues for n=%d"
+                           % (len(eigs), len(b)))
     return sorted(eigs)
 
 
@@ -176,17 +160,11 @@ class ScanReport:
 
     def extremes_attained(self) -> bool:
         """True iff the anti-regular graph realizes both scan extremes."""
-        for extreme, anti in (
-            (self.min_positive, self.antiregular_min_positive),
-            (self.max_nontrivial_negative, self.antiregular_max_negative),
-        ):
-            if extreme is None and anti is None:
-                continue
-            if extreme is None or anti is None:
-                return False
-            if abs(extreme[1] - anti) > TIE_TOL:
-                return False
-        return True
+        pairs = ((self.min_positive, self.antiregular_min_positive),
+                 (self.max_nontrivial_negative, self.antiregular_max_negative))
+        return all((best is None and anti is None)
+                   or (None not in (best, anti) and abs(best[1] - anti) <= TIE_TOL)
+                   for best, anti in pairs)
 
     def to_json(self) -> str:
         def pair(p):
@@ -216,118 +194,139 @@ class ScanReport:
 def _graph_stats(bits):
     """(violations, min positive, max nontrivial negative) for one graph."""
     eigs = threshold_spectrum(bits, method="full")
-    violations = []
-    min_pos = None
-    max_neg = None
-    for lam in eigs:
-        trivial = abs(lam) <= TRIVIAL_TOL or abs(lam + 1.0) <= TRIVIAL_TOL
-        if not trivial and FORBIDDEN_LO + GAP_MARGIN < lam < FORBIDDEN_HI - GAP_MARGIN:
-            violations.append(lam)
-        if lam > TRIVIAL_TOL and (min_pos is None or lam < min_pos):
-            min_pos = lam
-        if lam < -TRIVIAL_TOL and abs(lam + 1.0) > TRIVIAL_TOL:
-            if max_neg is None or lam > max_neg:
-                max_neg = lam
-    return violations, min_pos, max_neg
+    nontrivial = [lam for lam in eigs if abs(lam) > TRIVIAL_TOL and abs(lam + 1.0) > TRIVIAL_TOL]
+    return (
+        [lam for lam in nontrivial if FORBIDDEN_LO + GAP_MARGIN < lam < FORBIDDEN_HI - GAP_MARGIN],
+        min((lam for lam in eigs if lam > TRIVIAL_TOL), default=None),
+        max((lam for lam in nontrivial if lam < 0), default=None),
+    )
 
 
-def _scan_range(n: int, start: int, stop: int):
-    """Scan creation sequences with middle bits in [start, stop)."""
-    count = 0
-    violations: list[tuple[str, float]] = []
-    best_min: tuple[str, float] | None = None
-    best_max: tuple[str, float] | None = None
-    for m in range(start, stop):
-        bits = _creation_sequence(n, m)
-        seq = sequence_to_string(bits)
-        viols, min_pos, max_neg = _graph_stats(bits)
-        count += 1
-        violations.extend((seq, v) for v in viols)
-        if min_pos is not None:
-            best_min = _merge(best_min, (seq, min_pos), 1.0)
-        if max_neg is not None:
-            best_max = _merge(best_max, (seq, max_neg), -1.0)
-    return count, violations, best_min, best_max
+_CHUNK_BITS = 20  # free vertices batched at once: 8 MB per float64 array
+_BOTH = np.array([[0.0], [1.0]])  # a free vertex: the b = 0 batch, then the b = 1 batch
 
 
-def _merge(a, b, sign: float):
-    """The better of two (sequence, value) candidates or None: smaller
-    sign * value beyond TIE_TOL (sign 1 keeps the minimum, -1 the maximum),
-    else on a tie the lexicographically smaller sequence."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    if sign * b[1] < sign * a[1] - TIE_TOL:
-        return b
-    if abs(b[1] - a[1]) <= TIE_TOL and b[0] < a[0]:
-        return b
-    return a
+def _eliminate(c, neg, x, b):
+    """Pivot out the last vertex, bit b (0, 1 or _BOTH), of every entry."""
+    d = c - x
+    c = c - (b + c) ** 2 / d
+    return c.reshape(-1), np.broadcast_to(neg + (d < 0), c.shape).reshape(-1)
+
+
+def inertia_below(n: int, x: float) -> np.ndarray:
+    """Number of eigenvalues below x of every connected threshold graph of
+    order n, indexed by its middle-bit integer m; int8, and -1 where a pivot
+    was zero or not finite.
+
+    Eliminating A - xI from the last vertex to the first leaves a block
+    whose entries all carry one shift c (Jacobs, Trevisan and Tura, Linear
+    Algebra Appl. 439, 2013): vertex i with bit b has pivot d = c - x and
+    leaves c - (b + c)^2 / d, and by Sylvester's law of inertia the negative
+    pivots count the eigenvalues below x.  d does not depend on b, so each
+    free vertex from n - 2 down to 1 doubles the batch, b = 0 block first,
+    which leaves index m; vertices above _CHUNK_BITS go one chunk at a time.
+    """
+    top = max(n - 2 - _CHUNK_BITS, 0)
+    counts = np.empty(1 << (n - 2), dtype=np.int8)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        c, neg = _eliminate(np.zeros(1), np.zeros(1, dtype=np.int8), x, 1.0)
+        for _ in range(n - 2 - top):
+            c, neg = _eliminate(c, neg, x, _BOTH)
+        for h in range(1 << top):
+            hc, hneg = c, neg
+            for i in range(top, -1, -1):  # vertex i has bit top - i of h, vertex 0 bit 0
+                hc, hneg = _eliminate(hc, hneg, x, (h >> (top - i)) & 1)
+            # a zero pivot leaves an infinite or NaN shift through the last vertex
+            counts[h * c.size:(h + 1) * c.size] = np.where(np.isfinite(hc), hneg, -1)
+    return counts
+
+
+def _trivial_count(n: int) -> np.ndarray:
+    """Exact multiplicity of 0 and -1 together, for every middle-bit m: the
+    adjacent equal bits of the creation sequence, plus one when it starts 01
+    (vertices 0 and 1 are then adjacent twins, another -1)."""
+    s = np.arange(1 << (n - 2), dtype=np.uint32) * 2 + 1  # the sequence, b_0 highest
+    starts_01 = (s >> (n - 2)).astype(np.uint8) & 1
+    return n - 1 - np.bitwise_count(s ^ (s >> 1)) + starts_01
+
+
+def _fold(dense, col: int, extreme, sign: float):
+    """Best (sequence, value) in column col of the dense rows, folded in
+    sequence order: a value replaces the best when sign * value improves by
+    more than TIE_TOL (sign 1 keeps the minimum, -1 the maximum).
+
+    Graphs left out lie more than 2.5 TIE_TOL beyond the anti-regular
+    extreme.  Given a level L at most 1.5 TIE_TOL beyond it with no value in
+    (L, L + TIE_TOL], values up to L replace any best beyond L + TIE_TOL and
+    are never replaced by one, so this fold has the winner of the fold over
+    every graph.  Without such a gap it raises RuntimeError."""
+    best = None
+    near = []
+    for row in dense:
+        v = row[col]
+        if v is not None:
+            if best is None or sign * v < sign * best[1] - TIE_TOL:
+                best = (row[0], v)
+            if extreme is not None and 0 <= sign * (v - extreme) <= 3 * TIE_TOL:
+                near.append(sign * (v - extreme))
+    if extreme is not None and not any(
+        lvl <= 1.5 * TIE_TOL and not any(lvl < w <= lvl + TIE_TOL for w in near)
+        for lvl in near
+    ):
+        raise RuntimeError("no TIE_TOL gap next to the anti-regular extreme %r" % extreme)
+    return best
 
 
 def _resolve_workers(workers: int | None) -> int:
-    cap = None
+    """workers capped by ARSPEC_THREADS, both validated (default 1)."""
     env = os.environ.get("ARSPEC_THREADS")
-    if env is not None:
-        cap = int(env)
-        if cap < 1:
-            raise ValueError("ARSPEC_THREADS must be a positive integer, got %r" % env)
-    if workers is not None:
-        workers = int(workers)
-        if workers < 1:
-            raise ValueError("workers must be >= 1, got %d" % workers)
-        return min(workers, cap) if cap else workers
-    return cap if cap else 1
-
-
-@lru_cache(maxsize=32)
-def _scan_all(n: int, workers: int) -> ScanReport:
-    total = 1 << (n - 2)
-    if workers <= 1 or total < 64:
-        parts = [_scan_range(n, 0, total)]
-    else:
-        chunks = min(workers * 4, total)
-        bounds = [(total * c) // chunks for c in range(chunks + 1)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_scan_range, [n] * chunks, bounds[:-1], bounds[1:]))
-    count = 0
-    violations = []
-    best_min = best_max = None
-    # chunks are contiguous and in order, so concatenated violations stay in
-    # lexicographic sequence order
-    for c_count, c_viol, c_min, c_max in parts:
-        count += c_count
-        violations.extend(c_viol)
-        best_min = _merge(best_min, c_min, 1.0)
-        best_max = _merge(best_max, c_max, -1.0)
-
-    anti = antiregular_sequence(n)
-    _, anti_min, anti_max = _graph_stats(anti)
-    return ScanReport(
-        n=n,
-        graphs_scanned=count,
-        omega_violations=violations,
-        min_positive=best_min,
-        max_nontrivial_negative=best_max,
-        antiregular_min_positive=anti_min,
-        antiregular_max_negative=anti_max,
-    )
+    cap = None if env is None else int(env)
+    if cap is not None and cap < 1:
+        raise ValueError("ARSPEC_THREADS must be a positive integer, got %r" % env)
+    if workers is None:
+        return cap or 1
+    if int(workers) < 1:
+        raise ValueError("workers must be >= 1, got %d" % int(workers))
+    return min(int(workers), cap or int(workers))
 
 
 def omega_scan(n: int, workers: int | None = None) -> ScanReport:
     """Exhaustively test the forbidden interval over all connected threshold
     graphs on n vertices.
 
-    An eigenvalue counts as a violation when it clears 0 and -1 by more
-    than 1e-9 yet sits more than 1e-9 inside both interval endpoints.  The
-    report lists every violation with its creation sequence; an empty list
-    is the expected outcome.  Set workers (or ARSPEC_THREADS) to scan in
-    parallel; results are identical either way.  Each call gets its own report.
+    A violation is an eigenvalue more than 1e-9 from 0 and -1 and more than
+    1e-9 inside both interval endpoints; each is listed with its creation
+    sequence, and none is expected (Ghorbani, Linear Algebra Appl., 2019).
+    The dense oracle runs on the anti-regular graph and on each graph whose
+    exact counts show a nontrivial eigenvalue in a window slightly wider than
+    the violation window or within 3 TIE_TOL beyond an anti-regular extreme,
+    or hit a zero pivot.  workers and ARSPEC_THREADS are validated only.
     """
     if not 2 <= n <= MAX_SCAN_ORDER:
         raise ValueError("scan supports 2 <= n <= %d, got %d" % (MAX_SCAN_ORDER, n))
-    cached = _scan_all(n, _resolve_workers(workers))
-    return replace(cached, omega_violations=list(cached.omega_violations))
+    _resolve_workers(workers)
+    anti = antiregular_sequence(n)
+    _, anti_min, anti_max = _graph_stats(anti)
+    below_lo = inertia_below(n, FORBIDDEN_LO + GAP_MARGIN / 2)
+    below_hi = inertia_below(n, FORBIDDEN_HI - GAP_MARGIN / 2)
+    flagged = (below_hi - below_lo != _trivial_count(n)) | (below_lo < 0) | (below_hi < 0)
+    for extreme, sign, edge in ((anti_min, 1.0, below_hi), (anti_max, -1.0, below_lo)):
+        # without an extreme (n = 2) flag every graph with a value beyond the window;
+        # an undecided count differs from edge, or edge is undecided and flagged
+        x = sign * np.inf if extreme is None else extreme + sign * 3 * TIE_TOL
+        flagged |= inertia_below(n, x) != edge
+    flagged[int("".join(map(str, anti[:-1])), 2)] = True
+    seqs = [_creation_sequence(n, int(m)) for m in np.flatnonzero(flagged)]
+    dense = [(sequence_to_string(bits),) + _graph_stats(bits) for bits in seqs]
+    return ScanReport(
+        n=n,
+        graphs_scanned=1 << (n - 2),
+        omega_violations=[(row[0], v) for row in dense for v in row[1]],
+        min_positive=_fold(dense, 2, anti_min, 1.0),
+        max_nontrivial_negative=_fold(dense, 3, anti_max, -1.0),
+        antiregular_min_positive=anti_min,
+        antiregular_max_negative=anti_max,
+    )
 
 
 def extremal_scan(n: int, workers: int | None = None) -> ScanReport:

@@ -2,9 +2,11 @@
 output shapes rather than library internals."""
 
 import json
+import os
 
 import pytest
 
+from arspec import solver
 from arspec.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 
 
@@ -179,3 +181,50 @@ def test_out_unwritable_is_usage_error(tmp_path, capsys):
     assert code == EXIT_USAGE
     assert out == ""
     assert err == "error: cannot write --out %s: No such file or directory\n" % target
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_out_write_failure_is_usage_error(capsys):
+    code, out, err = run(capsys, "table1", "--out", "/dev/full")
+    assert code == EXIT_USAGE
+    assert err == "error: cannot write --out /dev/full: No space left on device\n"
+
+
+def test_out_unwritable_fails_before_the_work(monkeypatch, capsys):
+    def no_solve(n):
+        raise AssertionError("solver ran before --out was opened")
+
+    monkeypatch.setattr(solver, "solve_spectrum", no_solve)
+    code, out, err = run(capsys, "verify", "--n-max", "40", "--out", "/nonexistent/d/x.txt")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: cannot write --out /nonexistent/d/x.txt:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--n", "1"),
+    ("spectrum", "--n", "3000", "--method", "dense"),
+    ("verify", "--n-max", "501"),
+    ("scan", "--n", "30"),
+    ("scan", "--n", "5", "--workers", "0"),
+    ("figure-data", "--which", "theta", "--points", "5"),
+])
+def test_usage_error_leaves_out_alone(tmp_path, capsys, argv):
+    kept = tmp_path / "kept.txt"
+    kept.write_text("earlier output\n")
+    assert run(capsys, *argv, "--out", str(kept))[0] == EXIT_USAGE
+    assert kept.read_text() == "earlier output\n"
+    fresh = tmp_path / "fresh.txt"
+    assert run(capsys, *argv, "--out", str(fresh))[0] == EXIT_USAGE
+    assert not fresh.exists()
+
+
+def test_failed_work_leaves_out_alone(tmp_path, monkeypatch, capsys):
+    def broken(n):
+        raise ValueError("broken solver")
+
+    monkeypatch.setattr(solver, "solve_spectrum", broken)
+    kept = tmp_path / "kept.txt"
+    kept.write_text("earlier output\n")
+    assert run(capsys, "spectrum", "--n", "8", "--out", str(kept))[0] == EXIT_USAGE
+    assert kept.read_text() == "earlier output\n"

@@ -1,4 +1,4 @@
-"""Construction-level checks: sequences, matrices, relabelings, wire formats."""
+"""Construction-level checks: sequences, matrices, relabelings, sequence strings."""
 
 import numpy as np
 import pytest
@@ -13,10 +13,6 @@ from arspec.graphs import (
     degree_sequence,
     inverse_block_adjacency,
     laplacian,
-    matrix_from_csv,
-    matrix_from_json,
-    matrix_to_csv,
-    matrix_to_json,
     path_adjacency,
     sequence_from_string,
     sequence_to_string,
@@ -121,21 +117,3 @@ def test_sequence_string_round_trip():
     with pytest.raises(ValueError):
         sequence_from_string("")
 
-
-def test_matrix_json_round_trip():
-    a = antiregular_adjacency(5)
-    back = matrix_from_json(matrix_to_json(a))
-    assert np.array_equal(a, back)
-    with pytest.raises(ValueError):
-        matrix_from_json('{"order": 2, "entries": [[1, 2, 3], [4, 5, 6]]}')
-
-
-def test_matrix_csv_round_trip():
-    a = antiregular_adjacency(6)
-    text = matrix_to_csv(a)
-    assert text.count("\r\n") == 6
-    assert np.array_equal(matrix_from_csv(text), a)
-    f = np.array([[0.5, 1.25], [1.25, -0.75]])
-    assert np.allclose(matrix_from_csv(matrix_to_csv(f)), f)
-    with pytest.raises(ValueError):
-        matrix_from_csv("1,2\r\n3\r\n")

@@ -1,10 +1,13 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from arspec.graphs import adjacency_from_sequence, antiregular_sequence
+from arspec import cli, threshold
+from arspec.graphs import adjacency_from_sequence, antiregular_sequence, sequence_to_string
 from arspec.solver import solve_spectrum
 from arspec.threshold import (
     RunLengthSequence,
@@ -202,3 +205,136 @@ def test_worker_resolution(monkeypatch):
     monkeypatch.setenv("ARSPEC_THREADS", "4")
     with pytest.raises(ValueError):
         _resolve_workers(0)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_counts_match_eigvalsh_exhaustively(n):
+    matrices = [adjacency_from_sequence(b) for b in enumerate_connected_threshold(n)]
+    eigs = np.linalg.eigvalsh(np.array(matrices, dtype=float))
+    near_trivial = (np.abs(eigs) < 1e-8) | (np.abs(eigs + 1.0) < 1e-8)
+    assert np.array_equal(threshold._trivial_count(n), near_trivial.sum(axis=1))
+    _, anti_min, anti_max = threshold._graph_stats(antiregular_sequence(n))
+    points = [threshold.FORBIDDEN_LO + threshold.GAP_MARGIN / 2,
+              threshold.FORBIDDEN_HI - threshold.GAP_MARGIN / 2,
+              threshold.FORBIDDEN_LO, threshold.FORBIDDEN_HI,
+              anti_min + 3 * threshold.TIE_TOL, -2.5, -1.5, -0.5, 0.5, 1.5, n - 0.5]
+    if anti_max is not None:
+        points.append(anti_max - 3 * threshold.TIE_TOL)
+    for x in points:
+        assert np.array_equal(threshold.inertia_below(n, x), (eigs < x).sum(axis=1)), x
+
+
+def test_count_chunks_match_one_batch(monkeypatch):
+    whole = {(n, x): threshold.inertia_below(n, x) for n in (5, 9, 13) for x in (-1.3, 0.21)}
+    monkeypatch.setattr(threshold, "_CHUNK_BITS", 3)
+    for (n, x), counts in whole.items():
+        assert np.array_equal(threshold.inertia_below(n, x), counts)
+
+
+def test_zero_pivot_is_undecided():
+    # x = 0 is the pivot of the last vertex of every graph; -1 hits K_n's clique
+    assert (threshold.inertia_below(7, 0.0) == -1).all()
+    assert threshold.inertia_below(5, -1.0)[-1] == -1
+
+
+@settings(max_examples=300, deadline=None)
+@given(middle=st.lists(st.integers(0, 1), max_size=58),
+       x=st.fractions(-10, 30, max_denominator=1000))
+def test_count_matches_exact_elimination(middle, x):
+    seq = (0, *middle, 1)
+    x = float(x)
+    c, neg = Fraction(0), 0
+    for b in reversed(seq):
+        d = c - Fraction(x)
+        assume(d != 0)
+        neg += d < 0
+        c -= (b + c) ** 2 / d
+    fc, fneg = np.zeros(1), np.zeros(1, dtype=np.int8)
+    for b in reversed(seq):
+        fc, fneg = threshold._eliminate(fc, fneg, x, b)
+    assert np.isfinite(fc[0]) and fneg[0] == neg
+    eigs = np.linalg.eigvalsh(adjacency_from_sequence(seq).astype(float))
+    if np.min(np.abs(eigs - x)) >= 1e-6:
+        assert np.sum(eigs < x) == neg
+    if len(seq) <= 12:
+        m = int("0" + "".join(map(str, middle)), 2)
+        assert threshold.inertia_below(len(seq), x)[m] == neg
+
+
+def _dense_report(n):
+    """The scan report from the dense oracle on every graph, folded in
+    sequence order with the TIE_TOL rule."""
+    violations, best = [], [None, None]
+    for bits in enumerate_connected_threshold(n):
+        seq = sequence_to_string(bits)
+        viols, *extremes = threshold._graph_stats(bits)
+        violations.extend((seq, v) for v in viols)
+        for side, (value, sign) in enumerate(zip(extremes, (1.0, -1.0))):
+            if value is not None and (
+                best[side] is None or sign * value < sign * best[side][1] - threshold.TIE_TOL
+            ):
+                best[side] = (seq, value)
+    _, anti_min, anti_max = threshold._graph_stats(antiregular_sequence(n))
+    return threshold.ScanReport(n, 1 << (n - 2), violations, best[0], best[1], anti_min, anti_max)
+
+
+def test_scan_equals_dense_scan():
+    for n in range(2, 11):
+        assert omega_scan(n).to_json() == _dense_report(n).to_json(), n
+
+
+def test_negative_control_flags_every_violation(monkeypatch, capsys):
+    # real eigenvalues between 0.207 and 0.3 now fall inside the interval
+    monkeypatch.setattr(threshold, "FORBIDDEN_HI", 0.3)
+    for n in range(2, 11):
+        report, dense = omega_scan(n), _dense_report(n)
+        assert report.omega_violations == dense.omega_violations, n
+        assert report.to_json() == dense.to_json(), n
+    assert len(omega_scan(10).omega_violations) == 43
+    assert cli.main(["scan", "--n", "8"]) == cli.EXIT_CHECK_FAILED
+    assert "forbidden-interval violations at n=8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fault", ["window", "pivot"])
+def test_faulty_counts_send_the_graph_to_the_dense_route(monkeypatch, fault):
+    # graph m = 5 gets a window count off by one, or an undecided count
+    if fault == "window":
+        trivial = threshold._trivial_count
+        monkeypatch.setattr(threshold, "_trivial_count",
+                            lambda n: trivial(n) + (np.arange(1 << (n - 2)) == 5))
+    else:
+        below = threshold.inertia_below
+
+        def undecided(n, x):
+            counts = below(n, x)
+            counts[5] = -1
+            return counts
+        monkeypatch.setattr(threshold, "inertia_below", undecided)
+    reference = _dense_report(9).to_json()
+    dense, stats = set(), threshold._graph_stats
+    monkeypatch.setattr(threshold, "_graph_stats", lambda bits: dense.add(bits) or stats(bits))
+    assert omega_scan(9).to_json() == reference
+    assert dense == {antiregular_sequence(9), (0, 0, 0, 0, 0, 1, 0, 1, 1)}
+
+
+def test_wide_ties_flag_near_extremes(monkeypatch):
+    # at TIE_TOL 3e-3 other graphs come within 3 TIE_TOL of the anti-regular
+    # extremes, so leaving them out of the dense route changes the winner
+    monkeypatch.setattr(threshold, "TIE_TOL", 3e-3)
+    for n in range(3, 11):
+        assert omega_scan(n).to_json() == _dense_report(n).to_json(), n
+    monkeypatch.setattr(threshold, "TIE_TOL", 3e-2)
+    with pytest.raises(RuntimeError, match="no TIE_TOL gap"):
+        omega_scan(8)
+
+
+def test_fold_keeps_ties_and_needs_a_gap():
+    tie = threshold.TIE_TOL
+    rows = [("a", [], 0.5 + 0.9 * tie), ("b", [], 0.5), ("c", [], 0.5 - 1.1 * tie)]
+    assert threshold._fold(rows[:2], 2, 0.5, 1.0) == ("a", 0.5 + 0.9 * tie)
+    assert threshold._fold(rows, 2, 0.5, 1.0) == ("c", 0.5 - 1.1 * tie)
+    assert threshold._fold([(s, [], -v) for s, _, v in rows], 2, -0.5, -1.0)[0] == "c"
+    # values about TIE_TOL apart leave no gap: a graph left out could change the winner
+    chain = [(s, [], 0.5 + k * tie) for s, k in zip("bcdef", (2.5, 2.0, 1.45, 0.98, 0.0))]
+    with pytest.raises(RuntimeError, match="no TIE_TOL gap"):
+        threshold._fold(chain, 2, 0.5, 1.0)
