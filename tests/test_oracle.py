@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from arspec import oracle
 from arspec.graphs import (
     adjacency_from_sequence,
     antiregular_adjacency,
@@ -14,11 +15,16 @@ from arspec.graphs import (
     path_adjacency,
 )
 from arspec.oracle import (
+    ROUND_ROBIN_MIN_ORDER,
     ConvergenceError,
     char_poly_eval,
     jacobi_eigenvalues,
     quotient_eigenvalues,
 )
+
+# Orders on each side of the switch from cyclic to round-robin sweeps; the
+# odd ones sweep with a pad row and column.
+BELOW, ABOVE = ROUND_ROBIN_MIN_ORDER - 1, ROUND_ROBIN_MIN_ORDER + 1
 
 
 def test_single_edge():
@@ -45,6 +51,15 @@ def test_diagonal_input_short_circuits():
     res = jacobi_eigenvalues(np.diag([3.0, -1.0, 2.0]))
     assert res.eigenvalues == [-1.0, 2.0, 3.0]
     assert res.sweeps == 0
+    assert res.rotations == 0
+
+
+def test_diagonal_input_short_circuits_above_the_crossover():
+    d = [float((7 * i) % ABOVE) - 5.0 for i in range(ABOVE)]
+    res = jacobi_eigenvalues(np.diag(d))
+    assert res.eigenvalues == sorted(d)
+    assert res.sweeps == 0
+    assert res.rotations == 0
 
 
 def test_two_by_two_closed_form():
@@ -58,7 +73,7 @@ def test_two_by_two_closed_form():
 
 def test_trace_preserved():
     rng = np.random.default_rng(20260814)
-    for n in (3, 8, 17):
+    for n in (3, 8, BELOW, ABOVE, 40):
         m = rng.normal(size=(n, n))
         m = 0.5 * (m + m.T)
         res = jacobi_eigenvalues(m)
@@ -69,6 +84,15 @@ def test_eigenvalues_invariant_under_relabeling():
     a = antiregular_adjacency(9).astype(float)
     base = jacobi_eigenvalues(a).eigenvalues
     images = (3, 7, 1, 9, 2, 8, 4, 6, 5)
+    shuffled = jacobi_eigenvalues(apply_permutation(a, images).astype(float))
+    assert shuffled.eigenvalues == pytest.approx(base, abs=1e-10)
+
+
+def test_eigenvalues_invariant_under_relabeling_above_the_crossover():
+    n = 2 * ROUND_ROBIN_MIN_ORDER + 3
+    a = antiregular_adjacency(n).astype(float)
+    base = jacobi_eigenvalues(a).eigenvalues
+    images = np.random.default_rng(20261018).permutation(n) + 1
     shuffled = jacobi_eigenvalues(apply_permutation(a, images).astype(float))
     assert shuffled.eigenvalues == pytest.approx(base, abs=1e-10)
 
@@ -84,8 +108,62 @@ def test_rejects_asymmetric_and_bad_shapes():
         jacobi_eigenvalues(np.eye(2), tol=0.0)
 
 
+def test_infinite_tolerance_is_rejected():
+    # with tol=inf the loop used to stop at once and return the unrotated
+    # diagonal [1.1, 1.1, 1.1] instead of [1.0, 1.0, 1.3]
+    for tol in (math.inf, math.nan, -1e-12):
+        with pytest.raises(ValueError, match="tolerance"):
+            jacobi_eigenvalues(np.eye(3) + 0.1, tol=tol)
+
+
+def _with_entry(n, i, j, value):
+    a = path_adjacency(n).astype(float)
+    a[i, j] = a[j, i] = value
+    return a
+
+
+@pytest.mark.parametrize("n", [3, ABOVE])
+def test_nan_entries_are_rejected(n):
+    # NaN used to run MAX_SWEEPS sweeps and end in a ConvergenceError
+    with pytest.raises(ValueError, match="non-finite"):
+        jacobi_eigenvalues(_with_entry(n, 0, 2, math.nan))
+    with pytest.raises(ValueError, match="non-finite"):
+        quotient_eigenvalues(_with_entry(n, 1, 0, math.nan), [1] * n)
+    with pytest.raises(ValueError, match="non-finite"):
+        char_poly_eval(_with_entry(n, 1, 1, math.nan), 0.5)
+
+
+@pytest.mark.parametrize("n", [3, ABOVE])
+def test_infinite_diagonal_is_rejected(n):
+    # an infinite diagonal entry used to come back as an eigenvalue
+    for value in (math.inf, -math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            jacobi_eigenvalues(_with_entry(n, 1, 1, value))
+        with pytest.raises(ValueError, match="non-finite"):
+            quotient_eigenvalues(_with_entry(n, 0, 0, value), [1] * n)
+        with pytest.raises(ValueError, match="non-finite"):
+            char_poly_eval(_with_entry(n, 2, 2, value), 0.0)
+
+
 def test_convergence_error_is_a_runtime_error():
     assert issubclass(ConvergenceError, RuntimeError)
+
+
+@pytest.mark.parametrize("n", [BELOW, ABOVE])
+def test_convergence_error_carries_its_context(monkeypatch, n):
+    monkeypatch.setattr(oracle, "MAX_SWEEPS", 1)
+    with pytest.raises(ConvergenceError) as info:
+        jacobi_eigenvalues(antiregular_adjacency(n).astype(float))
+    err = info.value
+    assert (err.order, err.sweeps) == (n, 1)
+    assert err.off_norm > err.target > 0.0
+    assert "after 1 sweeps" in str(err)
+
+
+@pytest.mark.parametrize("n", [3, BELOW, ABOVE])
+def test_rotations_are_counted(n):
+    res = jacobi_eigenvalues(path_adjacency(n).astype(float))
+    assert res.rotations > 0
 
 
 def test_quotient_single_cell():
@@ -144,7 +222,15 @@ def test_char_poly_zero_pivot_short_circuit():
 
 
 def test_path_spectrum_cosines():
-    m = 7
-    res = jacobi_eigenvalues(path_adjacency(m).astype(float))
-    want = sorted(2.0 * math.cos(j * math.pi / (m + 1)) for j in range(1, m + 1))
-    assert res.eigenvalues == pytest.approx(want, abs=1e-10)
+    # 7 sweeps cyclically, 17, 40 and 41 in round-robin order (odd: padded)
+    assert 7 < ROUND_ROBIN_MIN_ORDER <= 17
+    for m in (7, 17, 40, 41):
+        res = jacobi_eigenvalues(path_adjacency(m).astype(float))
+        want = sorted(2.0 * math.cos(j * math.pi / (m + 1)) for j in range(1, m + 1))
+        assert res.eigenvalues == pytest.approx(want, abs=1e-10), m
+
+
+@pytest.mark.parametrize("n", [ABOVE, 2 * ABOVE])
+def test_complete_graph(n):
+    res = jacobi_eigenvalues(np.ones((n, n)) - np.eye(n))
+    assert res.eigenvalues == pytest.approx([-1.0] * (n - 1) + [n - 1.0], abs=1e-10)
