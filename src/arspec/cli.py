@@ -243,9 +243,10 @@ def _figure_curves(k: int, points: int, parity: str) -> str:
 
 
 def cmd_figure_data(args) -> int:
-    if args.k < 2:
-        raise _UsageError("figure-data needs --k >= 2, got %d" % args.k)
-    if args.points < 10:
+    # theta reads only --points and density only --k
+    if args.which != "theta" and args.k < 2:
+        raise _UsageError("%s needs --k >= 2, got %d" % (args.verb, args.k))
+    if args.which != "density" and args.points < 10:
         raise _UsageError("figure-data needs --points >= 10, got %d" % args.points)
     _check_out(args)
     if args.which == "theta":
@@ -309,14 +310,15 @@ def build_parser() -> _Parser:
         choices=("theta", "even-curves", "odd-curves", "density"),
         required=True,
     )
-    p.add_argument("--k", type=int, default=8, help="half-order parameter (>= 2)")
-    p.add_argument("--points", type=int, default=512, help="sample count (>= 10)")
+    p.add_argument("--k", type=int, default=8,
+                   help="half-order parameter (>= 2), for the curves and density")
+    p.add_argument("--points", type=int, default=512,
+                   help="sample count (>= 10), for theta and the curves")
     p.add_argument("--out")
     p.set_defaults(func=cmd_figure_data)
 
     p = sub.add_parser("density", help="shorthand for figure-data --which density")
     p.add_argument("--k", type=int, default=8, help="half-order parameter (>= 2)")
-    p.add_argument("--points", type=int, default=512)
     p.add_argument("--out")
     p.set_defaults(func=cmd_figure_data, which="density")
 

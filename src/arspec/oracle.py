@@ -7,11 +7,11 @@ or determinant routine is called; the three entry points are
 
 ``jacobi_eigenvalues``
     Jacobi rotations with the classical threshold strategy, for real
-    symmetric matrices: cyclic-by-row order one pair at a time below order
-    ROUND_ROBIN_MIN_ORDER, and from there up the round-robin order of Brent
-    and Luk (SIAM J. Sci. Stat. Comput. 6, 1985), which rotates n/2 disjoint
-    pairs per elementwise numpy step after padding an odd order by one zero
-    row and column,
+    symmetric matrices: cyclic-by-row order one pair at a time, on Python
+    lists of rows, below order ROUND_ROBIN_MIN_ORDER, and from there up the
+    round-robin order of Brent and Luk (SIAM J. Sci. Stat. Comput. 6, 1985),
+    which rotates n/2 disjoint pairs per elementwise numpy step after padding
+    an odd order by one zero row and column,
 ``quotient_eigenvalues``
     eigenvalues of an equitable-partition quotient matrix, obtained by the
     diagonal similarity that restores symmetry before calling Jacobi,
@@ -35,9 +35,12 @@ SYMMETRY_TOL = 1e-12
 QUOTIENT_SYMMETRY_TOL = 1e-9
 MAX_SWEEPS = 100
 # Smallest order swept in round-robin order.  Below it the thirty-odd numpy
-# calls of each round cost more than the cyclic loop's per-pair Python; the
-# two took about the same time at orders 12 to 16, and round-robin was 1.5x
-# faster at order 20 and 3x at order 50.
+# calls of each round cost more than the cyclic loop's per-pair Python.  The
+# list sweep breaks even with round-robin near order 20 on dense matrices (it
+# took 0.7 of round-robin's time at order 16 and 1.4 times it at 24), and
+# between orders 28 and 32 on threshold Laplacians in creation order, which
+# the cyclic order converges on in fewer sweeps.  Moving the switch would
+# change the last digits at the orders it moves over, so it stays at 16.
 ROUND_ROBIN_MIN_ORDER = 16
 
 
@@ -96,11 +99,12 @@ def jacobi_eigenvalues(m, tol: float = 1e-12) -> EigenResult:
     a_qq + t a_pq, and a_pq is set to zero.
 
     Below order ROUND_ROBIN_MIN_ORDER a sweep visits the strict upper
-    triangle row by row, one pair at a time.  From that order up it uses the
-    round-robin ordering of Brent and Luk: an odd order gets one zero pad row
-    and column, which no rotation touches and whose diagonal is not
-    returned, and each of the N - 1 rounds of a sweep over the even order N
-    rotates N/2 disjoint pairs in one elementwise numpy update.
+    triangle row by row, one pair at a time, on Python lists of rows.  From
+    that order up it uses the round-robin ordering of Brent and Luk: an odd
+    order gets one zero pad row and column, which no rotation touches and
+    whose diagonal is not returned, and each of the N - 1 rounds of a sweep
+    over the even order N rotates N/2 disjoint pairs in one elementwise
+    numpy update.
 
     Iteration stops once the Frobenius norm of the off-diagonal part drops
     below ``tol`` times the Frobenius norm of the input.  The off-diagonal
@@ -148,21 +152,29 @@ def jacobi_eigenvalues(m, tol: float = 1e-12) -> EigenResult:
 
 
 def _cyclic_sweep(a: np.ndarray, thresh: float, zero_negligible: bool) -> tuple[np.ndarray, int]:
-    """One cyclic-by-row sweep over ``a`` in place; returns it and the
-    number of rotations applied."""
+    """One cyclic-by-row sweep over ``a``; returns the rotated matrix and the
+    number of rotations applied.
+
+    The sweep runs on Python lists of rows: at these orders a numpy call
+    costs more than the row it updates.  Each rotation rebuilds rows p and q
+    elementwise, as rp - s (rq + tau rp) and rq + s (rp - tau rq), and
+    mirrors them into columns p and q, so the matrix stays exactly symmetric
+    and every entry is the double a numpy row update would give.
+    """
     n = a.shape[0]
+    rows = a.tolist()
     rotations = 0
     for p in range(n - 1):
         for q in range(p + 1, n):
-            apq = a[p, q]
+            rp, rq = rows[p], rows[q]
+            apq = rp[q]
             if apq * apq <= thresh:
                 continue
-            app = a[p, p]
-            aqq = a[q, q]
+            app = rp[p]
+            aqq = rq[q]
             g = 100.0 * abs(apq)
             if zero_negligible and abs(app) + g == abs(app) and abs(aqq) + g == abs(aqq):
-                a[p, q] = 0.0
-                a[q, p] = 0.0
+                rp[q] = rq[p] = 0.0
                 continue
             diff = aqq - app
             if abs(diff) + g == abs(diff):
@@ -173,18 +185,17 @@ def _cyclic_sweep(a: np.ndarray, thresh: float, zero_negligible: bool) -> tuple[
             c = 1.0 / math.sqrt(t * t + 1.0)
             s = t * c
             tau = s / (1.0 + c)
-            rp = a[p, :].copy()
-            rq = a[q, :].copy()
-            a[p, :] = rp - s * (rq + tau * rp)
-            a[q, :] = rq + s * (rp - tau * rq)
-            a[:, p] = a[p, :]
-            a[:, q] = a[q, :]
-            a[p, p] = app - t * apq
-            a[q, q] = aqq + t * apq
-            a[p, q] = 0.0
-            a[q, p] = 0.0
+            new_p = [x - s * (y + tau * x) for x, y in zip(rp, rq)]
+            new_q = [y + s * (x - tau * y) for x, y in zip(rp, rq)]
+            new_p[p] = app - t * apq
+            new_q[q] = aqq + t * apq
+            new_p[q] = new_q[p] = 0.0
+            rows[p], rows[q] = new_p, new_q
+            for row, vp, vq in zip(rows, new_p, new_q):
+                row[p] = vp
+                row[q] = vq
             rotations += 1
-    return a, rotations
+    return np.array(rows), rotations
 
 
 def _round_robin_sweep(a: np.ndarray, thresh: float,

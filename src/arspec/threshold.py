@@ -202,21 +202,30 @@ def _graph_stats(bits):
     )
 
 
-_CHUNK_BITS = 20  # free vertices batched at once: 8 MB per float64 array
+def _dense_row(bits):
+    """(sequence string, violations, min positive, max nontrivial negative)."""
+    return (sequence_to_string(bits),) + _graph_stats(bits)
+
+
+_CHUNK_BITS = 20  # float64 entries per batch, all x together: 8 MB per array
 _BOTH = np.array([[0.0], [1.0]])  # a free vertex: the b = 0 batch, then the b = 1 batch
 
 
 def _eliminate(c, neg, x, b):
-    """Pivot out the last vertex, bit b (0, 1 or _BOTH), of every entry."""
+    """Pivot out the last vertex, bit b (0, 1 or _BOTH), of every entry:
+    the new shift c - (b + c)^2 / d, formed in one array."""
     d = c - x
-    c = c - (b + c) ** 2 / d
-    return c.reshape(-1), np.broadcast_to(neg + (d < 0), c.shape).reshape(-1)
+    shift = b + c
+    shift **= 2
+    shift /= d
+    np.subtract(c, shift, out=shift)
+    return shift, np.broadcast_to(neg + (d < 0), shift.shape)
 
 
-def inertia_below(n: int, x: float) -> np.ndarray:
+def inertia_below(n: int, x) -> np.ndarray:
     """Number of eigenvalues below x of every connected threshold graph of
     order n, indexed by its middle-bit integer m; int8, and -1 where a pivot
-    was zero or not finite.
+    was zero or not finite.  A 1-d array of x gives one row of counts per x.
 
     Eliminating A - xI from the last vertex to the first leaves a block
     whose entries all carry one shift c (Jacobs, Trevisan and Tura, Linear
@@ -224,21 +233,31 @@ def inertia_below(n: int, x: float) -> np.ndarray:
     leaves c - (b + c)^2 / d, and by Sylvester's law of inertia the negative
     pivots count the eigenvalues below x.  d does not depend on b, so each
     free vertex from n - 2 down to 1 doubles the batch, b = 0 block first,
-    which leaves index m; vertices above _CHUNK_BITS go one chunk at a time.
+    which leaves index m.  A batch holds at most 2^_CHUNK_BITS entries: as
+    many x as fit whole, or one x and the vertices above _CHUNK_BITS one
+    chunk at a time.
     """
+    xs = np.asarray(x, dtype=float)
+    col = xs.reshape(-1, 1)  # one row of entries per x
+    counts = np.empty((col.shape[0], 1 << (n - 2)), dtype=np.int8)
     top = max(n - 2 - _CHUNK_BITS, 0)
-    counts = np.empty(1 << (n - 2), dtype=np.int8)
+    group = 1 << max(_CHUNK_BITS - (n - 2), 0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        c, neg = _eliminate(np.zeros(1), np.zeros(1, dtype=np.int8), x, 1.0)
-        for _ in range(n - 2 - top):
-            c, neg = _eliminate(c, neg, x, _BOTH)
-        for h in range(1 << top):
-            hc, hneg = c, neg
-            for i in range(top, -1, -1):  # vertex i has bit top - i of h, vertex 0 bit 0
-                hc, hneg = _eliminate(hc, hneg, x, (h >> (top - i)) & 1)
-            # a zero pivot leaves an infinite or NaN shift through the last vertex
-            counts[h * c.size:(h + 1) * c.size] = np.where(np.isfinite(hc), hneg, -1)
-    return counts
+        for g in range(0, col.shape[0], group):
+            gx = col[g:g + group]
+            rows = gx.shape[0]
+            c, neg = _eliminate(np.zeros((rows, 1)), np.zeros((rows, 1), dtype=np.int8), gx, 1.0)
+            for _ in range(n - 2 - top):
+                c, neg = _eliminate(c[:, None], neg[:, None], gx[:, None], _BOTH)
+                c, neg = c.reshape(rows, -1), neg.reshape(rows, -1)
+            size = c.shape[1]
+            for h in range(1 << top):
+                hc, hneg = c, neg
+                for i in range(top, -1, -1):  # vertex i has bit top - i of h, vertex 0 bit 0
+                    hc, hneg = _eliminate(hc, hneg, gx, (h >> (top - i)) & 1)
+                # a zero pivot leaves an infinite or NaN shift through the last vertex
+                counts[g:g + rows, h * size:(h + 1) * size] = np.where(np.isfinite(hc), hneg, -1)
+    return counts.reshape(xs.shape + counts.shape[1:])
 
 
 def _trivial_count(n: int) -> np.ndarray:
@@ -280,7 +299,10 @@ def _fold(dense, col: int, extreme, sign: float):
 def _resolve_workers(workers: int | None) -> int:
     """workers capped by ARSPEC_THREADS, both validated (default 1)."""
     env = os.environ.get("ARSPEC_THREADS")
-    cap = None if env is None else int(env)
+    try:
+        cap = None if env is None else int(env)
+    except ValueError:
+        cap = 0  # not an integer: rejected below with the variable's name
     if cap is not None and cap < 1:
         raise ValueError("ARSPEC_THREADS must be a positive integer, got %r" % env)
     if workers is None:
@@ -297,27 +319,35 @@ def omega_scan(n: int, workers: int | None = None) -> ScanReport:
     A violation is an eigenvalue more than 1e-9 from 0 and -1 and more than
     1e-9 inside both interval endpoints; each is listed with its creation
     sequence, and none is expected (Ghorbani, Linear Algebra Appl., 2019).
-    The dense oracle runs on the anti-regular graph and on each graph whose
-    exact counts show a nontrivial eigenvalue in a window slightly wider than
-    the violation window or within 3 TIE_TOL beyond an anti-regular extreme,
-    or hit a zero pivot.  workers and ARSPEC_THREADS are validated only.
+    The dense oracle runs once on the anti-regular graph, whose extremes
+    place two of the four count thresholds, so one inertia pass then counts
+    all four.  It also runs on each graph whose exact counts show a
+    nontrivial eigenvalue in a window slightly wider than the violation
+    window or within 3 TIE_TOL beyond an anti-regular extreme, or hit a zero
+    pivot; the anti-regular row is reused in its sequence-order slot.
+    workers and ARSPEC_THREADS are validated only.
     """
     if not 2 <= n <= MAX_SCAN_ORDER:
         raise ValueError("scan supports 2 <= n <= %d, got %d" % (MAX_SCAN_ORDER, n))
     _resolve_workers(workers)
     anti = antiregular_sequence(n)
-    _, anti_min, anti_max = _graph_stats(anti)
-    below_lo = inertia_below(n, FORBIDDEN_LO + GAP_MARGIN / 2)
-    below_hi = inertia_below(n, FORBIDDEN_HI - GAP_MARGIN / 2)
-    flagged = (below_hi - below_lo != _trivial_count(n)) | (below_lo < 0) | (below_hi < 0)
-    for extreme, sign, edge in ((anti_min, 1.0, below_hi), (anti_max, -1.0, below_lo)):
-        # without an extreme (n = 2) flag every graph with a value beyond the window;
-        # an undecided count differs from edge, or edge is undecided and flagged
-        x = sign * np.inf if extreme is None else extreme + sign * 3 * TIE_TOL
-        flagged |= inertia_below(n, x) != edge
-    flagged[int("".join(map(str, anti[:-1])), 2)] = True
-    seqs = [_creation_sequence(n, int(m)) for m in np.flatnonzero(flagged)]
-    dense = [(sequence_to_string(bits),) + _graph_stats(bits) for bits in seqs]
+    anti_m = int("".join(map(str, anti[:-1])), 2)
+    anti_row = _dense_row(anti)
+    anti_min, anti_max = anti_row[2:]
+    trivial = _trivial_count(n)  # before the counts: its temporaries are the largest
+    # without an extreme (n = 2) flag every graph with a value beyond the window
+    below_lo, below_hi, beyond_min, beyond_max = inertia_below(n, [
+        FORBIDDEN_LO + GAP_MARGIN / 2,
+        FORBIDDEN_HI - GAP_MARGIN / 2,
+        np.inf if anti_min is None else anti_min + 3 * TIE_TOL,
+        -np.inf if anti_max is None else anti_max - 3 * TIE_TOL,
+    ])
+    flagged = (below_hi - below_lo != trivial) | (below_lo < 0) | (below_hi < 0)
+    # an undecided count differs from its edge, or the edge is undecided and flagged
+    flagged |= (beyond_min != below_hi) | (beyond_max != below_lo)
+    flagged[anti_m] = True
+    dense = [anti_row if m == anti_m else _dense_row(_creation_sequence(n, int(m)))
+             for m in np.flatnonzero(flagged)]
     return ScanReport(
         n=n,
         graphs_scanned=1 << (n - 2),

@@ -111,6 +111,26 @@ def test_scan_json_and_exit(capsys):
     assert doc["extremes_attained"] is True
 
 
+@pytest.mark.parametrize("argv, want", [
+    # the block shown in the README
+    (("scan", "--n", "10", "--format", "json"),
+     '{"n": 10, "graphs_scanned": 256, "omega_violations": [],'
+     ' "min_positive": {"sequence": "0101010101", "value": 0.22307972755275643},'
+     ' "max_nontrivial_negative": {"sequence": "0101010101", "value": -1.2285941252760035},'
+     ' "antiregular_min_positive": 0.22307972755275643,'
+     ' "antiregular_max_negative": -1.2285941252760035, "extremes_attained": true}\n'),
+    # the first order whose dense runs sweep in round-robin order
+    (("scan", "--n", "16"),
+     '{"n": 16, "graphs_scanned": 16384, "omega_violations": [],'
+     ' "min_positive": {"sequence": "0101010101010101", "value": 0.21348065784059245},'
+     ' "max_nontrivial_negative": {"sequence": "0101010101010101", "value": -1.2147381428965658},'
+     ' "antiregular_min_positive": 0.21348065784059245,'
+     ' "antiregular_max_negative": -1.2147381428965658, "extremes_attained": true}\n'),
+])
+def test_scan_output_is_pinned(capsys, argv, want):
+    assert run(capsys, *argv) == (EXIT_OK, want, "")
+
+
 def test_scan_csv(capsys):
     code, out, _ = run(capsys, "scan", "--n", "6", "--format", "csv", "--check", "omega")
     assert code == EXIT_OK
@@ -120,6 +140,13 @@ def test_scan_csv(capsys):
 def test_scan_usage(capsys):
     assert run(capsys, "scan", "--n", "30")[0] == EXIT_USAGE
     assert run(capsys, "scan", "--n", "1")[0] == EXIT_USAGE
+
+
+@pytest.mark.parametrize("value", ["abc", "", "2.5", "0"])
+def test_scan_bad_thread_cap_names_the_variable(monkeypatch, capsys, value):
+    monkeypatch.setenv("ARSPEC_THREADS", value)
+    assert run(capsys, "scan", "--n", "4") == (
+        EXIT_USAGE, "", "error: ARSPEC_THREADS must be a positive integer, got %r\n" % value)
 
 
 def test_figure_theta_has_gap(capsys):
@@ -164,6 +191,21 @@ def test_figure_usage_errors(capsys):
     assert run(capsys, "figure-data", "--which", "surface")[0] == EXIT_USAGE
     assert run(capsys, "figure-data", "--which", "theta", "--points", "5")[0] == EXIT_USAGE
     assert run(capsys, "figure-data", "--which", "density", "--k", "1")[0] == EXIT_USAGE
+    assert run(capsys, "figure-data", "--which", "odd-curves", "--k", "1")[0] == EXIT_USAGE
+    assert run(capsys, "figure-data", "--which", "even-curves", "--points", "9")[0] == EXIT_USAGE
+    assert run(capsys, "density", "--k", "1") == (
+        EXIT_USAGE, "", "error: density needs --k >= 2, got 1\n")
+
+
+def test_figure_options_are_checked_only_where_read(capsys):
+    # theta ignores --k and density ignores --points
+    theta = run(capsys, "figure-data", "--which", "theta", "--points", "20")
+    assert run(capsys, "figure-data", "--which", "theta", "--points", "20", "--k", "1") == theta
+    density = run(capsys, "density", "--k", "4")
+    assert run(capsys, "figure-data", "--which", "density", "--k", "4", "--points", "3") == density
+    # the density verb has no --points
+    assert run(capsys, "density", "--k", "4", "--points", "3") == (
+        EXIT_USAGE, "", "error: unrecognized arguments: --points 3\n")
 
 
 def test_out_writes_file(tmp_path, capsys):

@@ -12,6 +12,7 @@ from arspec.graphs import (
     antiregular_adjacency,
     apply_permutation,
     inverse_block_adjacency,
+    laplacian,
     path_adjacency,
 )
 from arspec.oracle import (
@@ -234,3 +235,67 @@ def test_path_spectrum_cosines():
 def test_complete_graph(n):
     res = jacobi_eigenvalues(np.ones((n, n)) - np.eye(n))
     assert res.eigenvalues == pytest.approx([-1.0] * (n - 1) + [n - 1.0], abs=1e-10)
+
+
+def _numpy_cyclic_sweep(a, thresh, zero_negligible):
+    """The cyclic sweep as numpy row updates, kept as the reference that the
+    list sweep must match bit for bit."""
+    n = a.shape[0]
+    rotations = 0
+    for p in range(n - 1):
+        for q in range(p + 1, n):
+            apq = a[p, q]
+            if apq * apq <= thresh:
+                continue
+            app = a[p, p]
+            aqq = a[q, q]
+            g = 100.0 * abs(apq)
+            if zero_negligible and abs(app) + g == abs(app) and abs(aqq) + g == abs(aqq):
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+                continue
+            diff = aqq - app
+            if abs(diff) + g == abs(diff):
+                t = apq / diff
+            else:
+                phi = diff / (2.0 * apq)
+                t = (1.0 if phi >= 0.0 else -1.0) / (abs(phi) + math.sqrt(phi * phi + 1.0))
+            c = 1.0 / math.sqrt(t * t + 1.0)
+            s = t * c
+            tau = s / (1.0 + c)
+            rp = a[p, :].copy()
+            rq = a[q, :].copy()
+            a[p, :] = rp - s * (rq + tau * rp)
+            a[q, :] = rq + s * (rp - tau * rq)
+            a[:, p] = a[p, :]
+            a[:, q] = a[q, :]
+            a[p, p] = app - t * apq
+            a[q, q] = aqq + t * apq
+            a[p, q] = 0.0
+            a[q, p] = 0.0
+            rotations += 1
+    return a, rotations
+
+
+def _cyclic_inputs(n, rng):
+    yield antiregular_adjacency(n).astype(float)
+    for _ in range(12):
+        m = rng.normal(size=(n, n))
+        yield m + m.T
+    for _ in range(14):
+        bits = (0, *rng.integers(0, 2, size=n - 2), 1)
+        a = adjacency_from_sequence(bits)
+        yield a.astype(float)
+        yield laplacian(a).astype(float)
+
+
+@pytest.mark.parametrize("n", range(2, ROUND_ROBIN_MIN_ORDER))
+def test_list_sweep_matches_numpy_row_updates(monkeypatch, n):
+    rng = np.random.default_rng(1000 + n)
+    for m in _cyclic_inputs(n, rng):
+        got = jacobi_eigenvalues(m)
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "_cyclic_sweep", _numpy_cyclic_sweep)
+            want = jacobi_eigenvalues(m)
+        assert (got.eigenvalues, got.sweeps, got.rotations, got.off_norm) == (
+            want.eigenvalues, want.sweeps, want.rotations, want.off_norm)

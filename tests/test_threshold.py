@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from arspec import cli, threshold
 from arspec.graphs import adjacency_from_sequence, antiregular_sequence, sequence_to_string
-from arspec.solver import solve_spectrum
+from arspec.solver import FORBIDDEN_LO, solve_spectrum
 from arspec.threshold import (
     RunLengthSequence,
     enumerate_connected_threshold,
@@ -231,6 +231,44 @@ def test_count_chunks_match_one_batch(monkeypatch):
         assert np.array_equal(threshold.inertia_below(n, x), counts)
 
 
+@pytest.mark.parametrize("chunk_bits", [20, 3, 1])
+@pytest.mark.parametrize("n", [2, 3, 5, 9, 12])
+def test_batched_counts_equal_scalar_counts(monkeypatch, n, chunk_bits):
+    # 0.0 and -1.0 hit zero pivots (undecided -1), +-inf lie beyond every eigenvalue
+    xs = [-1.3, 0.0, 0.21, -1.0, np.inf, -np.inf, FORBIDDEN_LO, n - 0.5]
+    monkeypatch.setattr(threshold, "_CHUNK_BITS", chunk_bits)
+    batch = threshold.inertia_below(n, xs)
+    assert batch.shape == (len(xs), 1 << (n - 2)) and batch.dtype == np.int8
+    for x, row in zip(xs, batch):
+        assert np.array_equal(row, threshold.inertia_below(n, x)), x
+    assert (batch[1] == -1).all()
+    assert threshold.inertia_below(n, np.array(xs[:1])).shape == (1, 1 << (n - 2))
+    assert threshold.inertia_below(n, np.float64(0.21)).shape == (1 << (n - 2),)
+
+
+def test_batched_counts_keep_batches_small(monkeypatch):
+    # x share a batch of at most 2^_CHUNK_BITS float64 entries while they fit
+    # whole; beyond that each x goes alone, chunked as a scalar x would be
+    sizes = []
+    eliminate = threshold._eliminate
+
+    def record(*args):
+        c, neg = eliminate(*args)
+        sizes.append(c.size)
+        return c, neg
+    monkeypatch.setattr(threshold, "_eliminate", record)
+    monkeypatch.setattr(threshold, "_CHUNK_BITS", 6)
+    calls = {}
+    for n, widest in ((6, [16, 32, 48, 64, 64]), (7, [32, 64, 64, 64, 64]), (12, [64] * 5)):
+        for k in range(1, 6):
+            sizes.clear()
+            threshold.inertia_below(n, np.linspace(0.1, 0.5, k))
+            assert max(sizes) == widest[k - 1], (n, k)
+            calls[n, k] = len(sizes)
+    assert calls[6, 1] == calls[6, 4] < calls[6, 5]  # four x in the eliminations of one
+    assert calls[12, 4] == 4 * calls[12, 1]
+
+
 def test_zero_pivot_is_undecided():
     # x = 0 is the pivot of the last vertex of every graph; -1 hits K_n's clique
     assert (threshold.inertia_below(7, 0.0) == -1).all()
@@ -278,6 +316,15 @@ def _dense_report(n):
     return threshold.ScanReport(n, 1 << (n - 2), violations, best[0], best[1], anti_min, anti_max)
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+def test_scan_runs_each_graph_densely_once(monkeypatch, n):
+    calls, stats = [], threshold._graph_stats
+    monkeypatch.setattr(threshold, "_graph_stats", lambda bits: calls.append(bits) or stats(bits))
+    omega_scan(n)
+    assert antiregular_sequence(n) in calls
+    assert len(calls) == len(set(calls))
+
+
 def test_scan_equals_dense_scan():
     for n in range(2, 11):
         assert omega_scan(n).to_json() == _dense_report(n).to_json(), n
@@ -307,7 +354,7 @@ def test_faulty_counts_send_the_graph_to_the_dense_route(monkeypatch, fault):
 
         def undecided(n, x):
             counts = below(n, x)
-            counts[5] = -1
+            counts[..., 5] = -1
             return counts
         monkeypatch.setattr(threshold, "inertia_below", undecided)
     reference = _dense_report(9).to_json()
