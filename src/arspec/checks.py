@@ -51,7 +51,7 @@ def oracle_equivalence(spectra, tol: float) -> CheckResult:
 def forbidden_interval(spectra) -> CheckResult:
     """No nontrivial eigenvalue inside the forbidden interval."""
     for n, spec in spectra.items():
-        if not solver.forbidden_interval_check(spec, margin=0.0):
+        if not solver.forbidden_interval_check(spec):
             return CheckResult("forbidden-interval", FAIL, "violation at n=%d" % n)
     return CheckResult("forbidden-interval", PASS, "clean for n=%s" % _span(spectra))
 

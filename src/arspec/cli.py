@@ -182,7 +182,8 @@ def cmd_scan(args) -> int:
         raise _UsageError(
             "scan supports 2 <= --n <= %d, got %d" % (threshold.MAX_SCAN_ORDER, args.n)
         )
-    threshold._resolve_workers(args.workers)  # a bad value is a usage error before --out opens
+    if args.workers is not None and args.workers < 1:
+        raise _UsageError("workers must be >= 1, got %d" % args.workers)
     _check_out(args)
     report = threshold.omega_scan(args.n, workers=args.workers)
     if args.format == "json":
@@ -298,8 +299,8 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True, help="graph order, 2..26")
     p.add_argument("--check", choices=("omega", "extremal", "both"), default="both")
     p.add_argument("--workers", type=int, default=None,
-                   help="accepted and validated (>= 1, ARSPEC_THREADS caps it);"
-                   " the scan is one vectorised pass either way")
+                   help="accepted and validated (>= 1); the scan is one"
+                   " vectorised pass either way")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out")
     p.set_defaults(func=cmd_scan)

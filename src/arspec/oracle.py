@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 SYMMETRY_TOL = 1e-12
+JACOBI_TOL = 1e-12  # stop once the off-diagonal norm is this fraction of the input's
 QUOTIENT_SYMMETRY_TOL = 1e-9
 MAX_SWEEPS = 100
 # Smallest order swept in round-robin order.  Below it the thirty-odd numpy
@@ -87,7 +88,7 @@ def _check_square(m) -> np.ndarray:
     return a
 
 
-def jacobi_eigenvalues(m, tol: float = 1e-12) -> EigenResult:
+def jacobi_eigenvalues(m) -> EigenResult:
     """All eigenvalues of a real symmetric matrix by Jacobi rotation sweeps.
 
     Each sweep visits every off-diagonal pair (p, q) once and annihilates
@@ -107,18 +108,15 @@ def jacobi_eigenvalues(m, tol: float = 1e-12) -> EigenResult:
     numpy update.
 
     Iteration stops once the Frobenius norm of the off-diagonal part drops
-    below ``tol`` times the Frobenius norm of the input.  The off-diagonal
+    below JACOBI_TOL times the Frobenius norm of the input.  The off-diagonal
     norm is recomputed directly each sweep; forming it by subtracting the
     diagonal from the total norm cancels catastrophically and would stall
     the loop around sqrt(eps) times the matrix norm.
 
-    Raises ValueError for non-square, asymmetric or non-finite input and for
-    a ``tol`` that is not a finite positive number, and ConvergenceError if
-    MAX_SWEEPS sweeps do not reach the target.
+    Raises ValueError for non-square, asymmetric or non-finite input, and
+    ConvergenceError if MAX_SWEEPS sweeps do not reach the target.
     """
     a = _check_square(m)
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tolerance must be finite and positive, got %r" % (tol,))
     scale = max(1.0, float(np.max(np.abs(a))))
     asym = float(np.max(np.abs(a - a.T)))
     if asym > SYMMETRY_TOL * scale:
@@ -128,7 +126,7 @@ def jacobi_eigenvalues(m, tol: float = 1e-12) -> EigenResult:
     if n == 1:
         return EigenResult(order=1, eigenvalues=[float(a[0, 0])])
 
-    target = tol * math.sqrt(float(np.sum(a * a)))
+    target = JACOBI_TOL * math.sqrt(float(np.sum(a * a)))
     sweep = _cyclic_sweep
     if n >= ROUND_ROBIN_MIN_ORDER:
         sweep = _round_robin_sweep
@@ -283,7 +281,7 @@ def _round_robin_sweep(a: np.ndarray, thresh: float,
     return np.block([[x, y], [y.T, z]]), rotations
 
 
-def quotient_eigenvalues(m, cell_sizes, tol: float = 1e-12) -> EigenResult:
+def quotient_eigenvalues(m, cell_sizes) -> EigenResult:
     """Eigenvalues of an equitable-partition quotient matrix.
 
     ``m[i][j]`` holds the number of neighbors a vertex of cell i has inside
@@ -309,7 +307,7 @@ def quotient_eigenvalues(m, cell_sizes, tol: float = 1e-12) -> EigenResult:
         raise ValueError(
             "matrix is not an equitable quotient: rebalanced asymmetry %.3e" % asym
         )
-    return jacobi_eigenvalues(0.5 * (sym + sym.T), tol=tol)
+    return jacobi_eigenvalues(0.5 * (sym + sym.T))
 
 
 def char_poly_eval(m, t: float) -> float:

@@ -393,21 +393,10 @@ def solve_spectrum(n: int) -> SpectrumResult:
 # verification helpers
 
 
-def forbidden_interval_check(spec: SpectrumResult, margin: float = 0.0) -> bool:
-    """True iff every nontrivial eigenvalue clears the forbidden interval.
-
-    With a positive margin the eigenvalues must additionally stay that far
-    away from both interval endpoints.
-    """
-    if margin < 0.0:
-        raise ValueError("margin must be nonnegative, got %r" % (margin,))
-    for lam in spec.positives:
-        if lam < FORBIDDEN_HI + margin:
-            return False
-    for lam in spec.negatives:
-        if lam > FORBIDDEN_LO - margin:
-            return False
-    return True
+def forbidden_interval_check(spec: SpectrumResult) -> bool:
+    """True iff every nontrivial eigenvalue clears the open forbidden interval."""
+    return not (any(lam < FORBIDDEN_HI for lam in spec.positives)
+                or any(lam > FORBIDDEN_LO for lam in spec.negatives))
 
 
 def extreme_eigenvalue_bounds(spec: SpectrumResult) -> tuple[float, float]:
@@ -493,12 +482,9 @@ def symmetry_defect(spec: SpectrumResult, j: int) -> float:
 
 
 def symmetry_defect_bound(k: int, j: int) -> float:
-    """Upper bound 4 pi branch_positive_derivative(gamma_j) / (2k - 1)."""
-    k = _check_k(k)
-    if not 1 <= j <= k - 1:
-        raise ValueError("j must lie in 1..%d, got %d" % (k - 1, j))
-    gamma = j * _bracket_step(k, "even")
-    return 4.0 * math.pi * branch_positive_derivative(gamma) / (2 * k - 1)
+    """Twice the error bound of eigenvalue_estimates(k, j): each of the two
+    paired roots lies within it of its branch value, which sum to -1."""
+    return 2.0 * eigenvalue_estimates(k, j)[2]
 
 
 def eigenvalue_estimates(k: int, j: int) -> tuple[float, float, float]:

@@ -6,7 +6,7 @@ cells and clique cells.  The quotient matrix returned here is the divisor
 matrix: entry (i, j) counts the neighbors a vertex of cell i has inside
 cell j.  Its eigenvalues, together with -1 repeated once per surplus clique
 vertex and 0 once per surplus independent vertex, recover the full spectrum
-exactly; cells of size zero are dropped.
+exactly.
 
 The scans cover every connected threshold graph of a given order
 (creation sequences 0...1 over the free middle bits, 2^(n-2) graphs) and
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,37 +40,9 @@ TRIVIAL_TOL = 1e-9  # distance from 0 / -1 below which an eigenvalue is trivial
 TIE_TOL = 1e-9  # extremal values this close count as attained
 
 
-@dataclass(frozen=True)
-class RunLengthSequence:
-    """Creation sequence compressed to runs (s_i zeros, then t_i ones).
-
-    The first zero-run is nonempty because sequences start with 0; later
-    zero-runs may be empty only in the degenerate sense of never occurring,
-    so s_i >= 1 for i >= 2 as produced by run_length_encode.  Cell-size
-    bookkeeping elsewhere still tolerates s_i = 0.
-    """
-
-    runs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if not self.runs:
-            raise ValueError("need at least one run")
-        for i, (s, t) in enumerate(self.runs):
-            if s < 0 or t < 1:
-                raise ValueError("run %d has invalid counts (%d, %d)" % (i, s, t))
-        if self.runs[0][0] < 1:
-            raise ValueError("first zero-run must be nonempty")
-
-    @property
-    def n(self) -> int:
-        return sum(s + t for s, t in self.runs)
-
-    def expand(self) -> tuple[int, ...]:
-        return tuple(bit for s, t in self.runs for bit in (0,) * s + (1,) * t)
-
-
-def run_length_encode(bits) -> RunLengthSequence:
-    """Compress a connected creation sequence into zero/one runs.
+def run_length_encode(bits) -> tuple[tuple[int, int], ...]:
+    """Compress a connected creation sequence into its (s_i, t_i) runs:
+    s_i zeros, then t_i ones, every run nonempty.
 
     Connectivity means the sequence ends in 1; anything else is rejected
     because the quotient construction below assumes it.
@@ -80,27 +51,25 @@ def run_length_encode(bits) -> RunLengthSequence:
     if b[-1] != 1:
         raise ValueError("creation sequence ends in 0: graph is disconnected")
     lengths = [len(list(run)) for _, run in itertools.groupby(b)]  # 0-run, 1-run, ...
-    return RunLengthSequence(runs=tuple(zip(lengths[::2], lengths[1::2])))
+    return tuple(zip(lengths[::2], lengths[1::2]))
 
 
-def quotient_matrix(rl: RunLengthSequence) -> tuple[np.ndarray, list[int]]:
+def quotient_matrix(runs) -> tuple[np.ndarray, list[int]]:
     """Divisor matrix of the degree partition, with its cell sizes.
 
     Start from the alternating adjacency pattern on 2k cells, add
     1 - 1/t_i to the diagonal of each clique cell (a clique vertex sees
     t_i - 1 neighbors inside its own cell, and the later column scaling
     multiplies by t_i), then scale column j by the size of cell j so entry
-    (i, j) counts neighbors.  Size-zero cells are dropped at the end.
+    (i, j) counts neighbors.
     """
-    k = len(rl.runs)
+    k = len(runs)
     pattern = adjacency_from_sequence(antiregular_sequence(2 * k)).astype(float)
     sizes: list[int] = []
-    for i, (s, t) in enumerate(rl.runs):
+    for i, (s, t) in enumerate(runs):
         pattern[2 * i + 1, 2 * i + 1] += 1.0 - 1.0 / t
         sizes.extend([s, t])
-    scaled = pattern * np.asarray(sizes, dtype=float)[None, :]
-    keep = [c for c in range(2 * k) if sizes[c] > 0]
-    return scaled[np.ix_(keep, keep)], [sizes[c] for c in keep]
+    return pattern * np.asarray(sizes, dtype=float)[None, :], sizes
 
 
 def threshold_spectrum(bits, method: str = "quotient") -> list[float]:
@@ -118,11 +87,11 @@ def threshold_spectrum(bits, method: str = "quotient") -> list[float]:
         return jacobi_eigenvalues(a).eigenvalues
     if method != "quotient":
         raise ValueError("method must be 'full' or 'quotient', got %r" % (method,))
-    rl = run_length_encode(b)
-    matrix, sizes = quotient_matrix(rl)
+    runs = run_length_encode(b)
+    matrix, sizes = quotient_matrix(runs)
     eigs = list(quotient_eigenvalues(matrix, sizes).eigenvalues)
-    eigs.extend([0.0] * sum(max(s - 1, 0) for s, _ in rl.runs))
-    eigs.extend([-1.0] * sum(t - 1 for _, t in rl.runs))
+    eigs.extend([0.0] * sum(s - 1 for s, _ in runs))
+    eigs.extend([-1.0] * sum(t - 1 for _, t in runs))
     if len(eigs) != len(b):
         raise RuntimeError("quotient bookkeeping produced %d eigenvalues for n=%d"
                            % (len(eigs), len(b)))
@@ -263,10 +232,23 @@ def inertia_below(n: int, x) -> np.ndarray:
 def _trivial_count(n: int) -> np.ndarray:
     """Exact multiplicity of 0 and -1 together, for every middle-bit m: the
     adjacent equal bits of the creation sequence, plus one when it starts 01
-    (vertices 0 and 1 are then adjacent twins, another -1)."""
-    s = np.arange(1 << (n - 2), dtype=np.uint32) * 2 + 1  # the sequence, b_0 highest
-    starts_01 = (s >> (n - 2)).astype(np.uint8) & 1
-    return n - 1 - np.bitwise_count(s ^ (s >> 1)) + starts_01
+    (vertices 0 and 1 are then adjacent twins, another -1).
+
+    Built in place, prepending vertices from n - 2 down to 1: the new vertex
+    is the top bit of the doubled index and adds one where it equals the
+    next vertex's bit (the old top bit, or the last vertex's 1).  Vertex 0
+    then adds one to every graph: an equal pair 00, or the start 01.
+    """
+    counts = np.zeros(1 << (n - 2), dtype=np.uint8)
+    size = 1
+    while size < counts.size:
+        counts[size:2 * size] = counts[:size]
+        half = size // 2
+        counts[:half] += 1  # 0 before 0
+        counts[size + half:2 * size] += 1  # 1 before 1 (the last vertex when size is 1)
+        size *= 2
+    counts += 1
+    return counts
 
 
 def _fold(dense, col: int, extreme, sign: float):
@@ -296,22 +278,6 @@ def _fold(dense, col: int, extreme, sign: float):
     return best
 
 
-def _resolve_workers(workers: int | None) -> int:
-    """workers capped by ARSPEC_THREADS, both validated (default 1)."""
-    env = os.environ.get("ARSPEC_THREADS")
-    try:
-        cap = None if env is None else int(env)
-    except ValueError:
-        cap = 0  # not an integer: rejected below with the variable's name
-    if cap is not None and cap < 1:
-        raise ValueError("ARSPEC_THREADS must be a positive integer, got %r" % env)
-    if workers is None:
-        return cap or 1
-    if int(workers) < 1:
-        raise ValueError("workers must be >= 1, got %d" % int(workers))
-    return min(int(workers), cap or int(workers))
-
-
 def omega_scan(n: int, workers: int | None = None) -> ScanReport:
     """Exhaustively test the forbidden interval over all connected threshold
     graphs on n vertices.
@@ -325,16 +291,16 @@ def omega_scan(n: int, workers: int | None = None) -> ScanReport:
     nontrivial eigenvalue in a window slightly wider than the violation
     window or within 3 TIE_TOL beyond an anti-regular extreme, or hit a zero
     pivot; the anti-regular row is reused in its sequence-order slot.
-    workers and ARSPEC_THREADS are validated only.
+    workers is validated only: the scan is one vectorised pass.
     """
     if not 2 <= n <= MAX_SCAN_ORDER:
         raise ValueError("scan supports 2 <= n <= %d, got %d" % (MAX_SCAN_ORDER, n))
-    _resolve_workers(workers)
+    if workers is not None and workers < 1:
+        raise ValueError("workers must be >= 1, got %d" % workers)
     anti = antiregular_sequence(n)
     anti_m = int("".join(map(str, anti[:-1])), 2)
     anti_row = _dense_row(anti)
     anti_min, anti_max = anti_row[2:]
-    trivial = _trivial_count(n)  # before the counts: its temporaries are the largest
     # without an extreme (n = 2) flag every graph with a value beyond the window
     below_lo, below_hi, beyond_min, beyond_max = inertia_below(n, [
         FORBIDDEN_LO + GAP_MARGIN / 2,
@@ -342,7 +308,7 @@ def omega_scan(n: int, workers: int | None = None) -> ScanReport:
         np.inf if anti_min is None else anti_min + 3 * TIE_TOL,
         -np.inf if anti_max is None else anti_max - 3 * TIE_TOL,
     ])
-    flagged = (below_hi - below_lo != trivial) | (below_lo < 0) | (below_hi < 0)
+    flagged = (below_hi - below_lo != _trivial_count(n)) | (below_lo < 0) | (below_hi < 0)
     # an undecided count differs from its edge, or the edge is undecided and flagged
     flagged |= (beyond_min != below_hi) | (beyond_max != below_lo)
     flagged[anti_m] = True

@@ -143,10 +143,14 @@ def test_scan_usage(capsys):
 
 
 @pytest.mark.parametrize("value", ["abc", "", "2.5", "0"])
-def test_scan_bad_thread_cap_names_the_variable(monkeypatch, capsys, value):
+def test_scan_ignores_workers_and_environment(monkeypatch, capsys, value):
+    monkeypatch.delenv("ARSPEC_THREADS", raising=False)
+    plain = run(capsys, "scan", "--n", "9")
+    assert plain[0] == EXIT_OK and plain[1].startswith('{"n": 9, ')
+    assert run(capsys, "scan", "--n", "9", "--workers", "2") == plain
     monkeypatch.setenv("ARSPEC_THREADS", value)
-    assert run(capsys, "scan", "--n", "4") == (
-        EXIT_USAGE, "", "error: ARSPEC_THREADS must be a positive integer, got %r\n" % value)
+    assert run(capsys, "scan", "--n", "9") == plain
+    assert run(capsys, "scan", "--n", "9", "--workers", "2") == plain
 
 
 def test_figure_theta_has_gap(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -382,12 +383,15 @@ def test_spectrum_csv_shape():
 
 
 def test_forbidden_interval_margins():
+    # the interval is open: eigenvalues on its endpoints clear it, one ulp inside does not
     spec = solve_spectrum(10)
     assert forbidden_interval_check(spec)
-    assert forbidden_interval_check(spec, margin=0.0)
-    assert not forbidden_interval_check(spec, margin=0.1)
-    with pytest.raises(ValueError):
-        forbidden_interval_check(spec, margin=-1e-3)
+    on_ends = dataclasses.replace(spec, positives=[FORBIDDEN_HI], negatives=[FORBIDDEN_LO])
+    assert forbidden_interval_check(on_ends)
+    inside = math.nextafter(FORBIDDEN_HI, 0.0)
+    assert not forbidden_interval_check(dataclasses.replace(spec, positives=[inside]))
+    inside = math.nextafter(FORBIDDEN_LO, 0.0)
+    assert not forbidden_interval_check(dataclasses.replace(spec, negatives=[inside]))
 
 
 def test_extreme_bounds_even():
@@ -458,6 +462,12 @@ def test_symmetry_defect_under_bound():
         symmetry_defect(solve_spectrum(9), 1)
     with pytest.raises(ValueError):
         symmetry_defect_bound(8, 0)
+    # twice the estimate bound is 4 pi branch_positive_derivative(gamma_j) / (2k - 1) exactly
+    for k in (2, 8, 501, 10**6):
+        for j in sorted({1, k // 2, k - 1}):
+            gamma = j * solver._bracket_step(k, "even")
+            formula = 4.0 * math.pi * branch_positive_derivative(gamma) / (2 * k - 1)
+            assert symmetry_defect_bound(k, j) == formula
 
 
 def test_estimates_bound_and_halving():

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,21 +11,19 @@ from arspec import cli, threshold
 from arspec.graphs import adjacency_from_sequence, antiregular_sequence, sequence_to_string
 from arspec.solver import FORBIDDEN_LO, solve_spectrum
 from arspec.threshold import (
-    RunLengthSequence,
     enumerate_connected_threshold,
     extremal_scan,
     omega_scan,
     quotient_matrix,
     run_length_encode,
     threshold_spectrum,
-    _resolve_workers,
 )
 
 
 def test_run_length_encoding_examples():
-    assert run_length_encode((0, 1, 0, 1, 0, 1)).runs == ((1, 1), (1, 1), (1, 1))
-    assert run_length_encode((0, 0, 1, 1)).runs == ((2, 2),)
-    assert run_length_encode((0, 0, 1, 0, 1)).runs == ((2, 1), (1, 1))
+    assert run_length_encode((0, 1, 0, 1, 0, 1)) == ((1, 1), (1, 1), (1, 1))
+    assert run_length_encode((0, 0, 1, 1)) == ((2, 2),)
+    assert run_length_encode((0, 0, 1, 0, 1)) == ((2, 1), (1, 1))
 
 
 def test_run_length_rejects_disconnected():
@@ -35,32 +34,22 @@ def test_run_length_rejects_disconnected():
 
 
 def test_run_length_expand_round_trip():
-    for bits in ((0, 1), (0, 0, 1, 0, 1), (0, 1, 1, 0, 0, 1), (0, 0, 0, 1, 1)):
-        rl = run_length_encode(bits)
-        assert rl.expand() == bits
-        assert rl.n == len(bits)
-
-
-def test_run_length_validation():
-    with pytest.raises(ValueError):
-        RunLengthSequence(runs=())
-    with pytest.raises(ValueError):
-        RunLengthSequence(runs=((0, 1),))  # first zero-run empty
-    with pytest.raises(ValueError):
-        RunLengthSequence(runs=((1, 0),))  # one-run empty
+    for n in range(2, 9):
+        for bits in enumerate_connected_threshold(n):
+            runs = run_length_encode(bits)
+            assert all(s >= 1 and t >= 1 for s, t in runs)
+            assert tuple(b for s, t in runs for b in (0,) * s + (1,) * t) == bits
 
 
 def test_quotient_matrix_two_cells():
-    rl = run_length_encode((0, 0, 1, 1))
-    matrix, sizes = quotient_matrix(rl)
+    matrix, sizes = quotient_matrix(run_length_encode((0, 0, 1, 1)))
     assert sizes == [2, 2]
     assert np.array_equal(matrix, np.array([[0.0, 2.0], [2.0, 1.0]]))
 
 
 def test_quotient_matrix_odd_antiregular():
     # nine vertices: independent cell of size 2, all other cells singletons
-    rl = run_length_encode(antiregular_sequence(9))
-    matrix, sizes = quotient_matrix(rl)
+    matrix, sizes = quotient_matrix(run_length_encode(antiregular_sequence(9)))
     assert sizes == [2, 1, 1, 1, 1, 1, 1, 1]
     assert matrix.shape == (8, 8)
     # column scaling doubles the first column of the alternating pattern
@@ -70,21 +59,11 @@ def test_quotient_matrix_odd_antiregular():
 
 def test_quotient_matrix_even_antiregular_is_adjacency():
     for k in range(1, 7):
-        rl = run_length_encode(antiregular_sequence(2 * k))
-        matrix, sizes = quotient_matrix(rl)
+        matrix, sizes = quotient_matrix(run_length_encode(antiregular_sequence(2 * k)))
         assert sizes == [1] * (2 * k)
         assert np.array_equal(
             matrix, adjacency_from_sequence(antiregular_sequence(2 * k)).astype(float)
         )
-
-
-def test_quotient_matrix_drops_empty_cells():
-    rl = RunLengthSequence(runs=((1, 1), (0, 2)))  # expands to 0111, complete graph
-    matrix, sizes = quotient_matrix(rl)
-    assert 0 not in sizes
-    assert matrix.shape == (len(sizes), len(sizes))
-    eigs = threshold_spectrum(rl.expand(), method="quotient")
-    assert eigs == pytest.approx([-1.0, -1.0, -1.0, 3.0], abs=1e-10)
 
 
 def test_star_spectrum_quotient():
@@ -192,19 +171,11 @@ def test_scan_rejects_out_of_range():
         extremal_scan(27)
 
 
-def test_worker_resolution(monkeypatch):
-    monkeypatch.delenv("ARSPEC_THREADS", raising=False)
-    assert _resolve_workers(None) == 1
-    assert _resolve_workers(3) == 3
-    monkeypatch.setenv("ARSPEC_THREADS", "2")
-    assert _resolve_workers(None) == 2
-    assert _resolve_workers(8) == 2  # env caps explicit requests
-    monkeypatch.setenv("ARSPEC_THREADS", "0")
-    with pytest.raises(ValueError):
-        _resolve_workers(None)
-    monkeypatch.setenv("ARSPEC_THREADS", "4")
-    with pytest.raises(ValueError):
-        _resolve_workers(0)
+def test_worker_resolution():
+    assert omega_scan(5, workers=3).to_json() == omega_scan(5).to_json()
+    for workers in (0, -2):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            omega_scan(5, workers=workers)
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -222,6 +193,31 @@ def test_counts_match_eigvalsh_exhaustively(n):
         points.append(anti_max - 3 * threshold.TIE_TOL)
     for x in points:
         assert np.array_equal(threshold.inertia_below(n, x), (eigs < x).sum(axis=1)), x
+
+
+def _bit_trivial_count(n):
+    """The trivial count from the sequence bits at once: n - 1 less the
+    changes between adjacent bits, plus one where the sequence starts 01."""
+    s = np.arange(1 << (n - 2), dtype=np.uint32) * 2 + 1  # the sequence, b_0 highest
+    starts_01 = (s >> (n - 2)).astype(np.uint8) & 1
+    return n - 1 - np.bitwise_count(s ^ (s >> 1)) + starts_01
+
+
+@pytest.mark.parametrize("n", range(2, 23))
+def test_trivial_count_matches_bit_formula(n):
+    counts = threshold._trivial_count(n)
+    assert counts.dtype == np.uint8
+    assert np.array_equal(counts, _bit_trivial_count(n))
+
+
+def test_trivial_count_needs_no_temporaries():
+    tracemalloc.start()
+    try:
+        counts = threshold._trivial_count(20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * counts.nbytes, (peak, counts.nbytes)
 
 
 def test_count_chunks_match_one_batch(monkeypatch):
