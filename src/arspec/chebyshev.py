@@ -40,21 +40,6 @@ def chebyshev_u_trig(m, theta):
     return math.sin((m + 1) * theta) / math.sin(theta)
 
 
-def chebyshev_u_at_one(m):
-    """U_m(1) = m + 1."""
-    if m < 0:
-        raise ValueError("degree must be nonnegative, got %r" % (m,))
-    return float(m + 1)
-
-
-def chebyshev_u_at_minus_one(m):
-    """U_m(-1) = (-1)^m (m + 1)."""
-    if m < 0:
-        raise ValueError("degree must be nonnegative, got %r" % (m,))
-    value = float(m + 1)
-    return value if m % 2 == 0 else -value
-
-
 def chebyshev_u_roots(m):
     """Roots of U_m, cos(j pi / (m+1)) for j = 1..m, in descending order."""
     if m < 1:

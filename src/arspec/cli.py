@@ -50,24 +50,27 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _write_out(path: str, mode: str, text: str) -> None:
+    # open, write and close in one guard: some targets (/dev/full) open
+    # fine and fail only at the write or the close
+    try:
+        with open(path, mode, newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _UsageError("cannot write --out %s: %s" % (path, exc.strerror or exc))
+
+
 def _check_out(args) -> None:
     """Fail fast when --out cannot be opened for writing.  Verbs call this
     after their own argument checks and before the costly work; append mode
     leaves an existing file as it is until _emit replaces it."""
     if getattr(args, "out", None):
-        try:
-            open(args.out, "a").close()
-        except OSError as exc:
-            raise _UsageError("cannot write --out %s: %s" % (args.out, exc.strerror or exc))
+        _write_out(args.out, "a", "")
 
 
 def _emit(args, text: str) -> None:
     if getattr(args, "out", None):
-        try:
-            with open(args.out, "w", newline="") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise _UsageError("cannot write --out %s: %s" % (args.out, exc.strerror or exc))
+        _write_out(args.out, "w", text)
     else:
         sys.stdout.write(text)
 
@@ -254,10 +257,8 @@ def cmd_figure_data(args) -> int:
         text = _figure_theta(args.points)
     elif args.which in ("even-curves", "odd-curves"):
         text = _figure_curves(args.k, args.points, args.which.split("-")[0])
-    elif args.which == "density":
+    else:  # density
         text = _index_csv(solver.solve_spectrum(2 * args.k).eigenvalues())
-    else:  # pragma: no cover - argparse restricts choices
-        raise _UsageError("unknown figure %r" % (args.which,))
     _emit(args, text)
     return EXIT_OK
 

@@ -66,12 +66,6 @@ def antiregular_adjacency(n: int) -> np.ndarray:
     return adjacency_from_sequence(antiregular_sequence(n))
 
 
-def degree_sequence(a) -> list[int]:
-    """Vertex degrees sorted in nonincreasing order."""
-    a = _check_adjacency(a)
-    return sorted((int(d) for d in a.sum(axis=1)), reverse=True)
-
-
 def laplacian(a) -> np.ndarray:
     """Combinatorial Laplacian D - A."""
     a = _check_adjacency(a)

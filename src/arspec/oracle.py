@@ -123,9 +123,6 @@ def jacobi_eigenvalues(m) -> EigenResult:
         raise ValueError("matrix is not symmetric (max asymmetry %.3e)" % asym)
     a = 0.5 * (a + a.T)
     n = a.shape[0]
-    if n == 1:
-        return EigenResult(order=1, eigenvalues=[float(a[0, 0])])
-
     target = JACOBI_TOL * math.sqrt(float(np.sum(a * a)))
     sweep = _cyclic_sweep
     if n >= ROUND_ROBIN_MIN_ORDER:

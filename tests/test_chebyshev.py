@@ -5,8 +5,6 @@ import pytest
 
 from arspec.chebyshev import (
     chebyshev_u,
-    chebyshev_u_at_minus_one,
-    chebyshev_u_at_one,
     chebyshev_u_roots,
     chebyshev_u_trig,
     toeplitz_char_poly,
@@ -33,9 +31,6 @@ def test_recurrence_matches_trig_form(m):
 
 
 def test_endpoint_values():
-    assert chebyshev_u_at_one(7) == 8.0
-    assert chebyshev_u_at_minus_one(7) == -8.0
-    assert chebyshev_u_at_minus_one(6) == 7.0
     # the recurrence reproduces both endpoints exactly for small m
     for m in range(12):
         assert chebyshev_u(m, 1.0) == m + 1
@@ -87,6 +82,8 @@ def test_domain_errors():
         chebyshev_u(-1, 0.5)
     with pytest.raises(ValueError):
         chebyshev_u(10 ** 6 + 1, 0.5)
+    with pytest.raises(ValueError):
+        chebyshev_u_trig(-1, 1.0)
     with pytest.raises(ValueError):
         chebyshev_u_trig(3, 0.0)
     with pytest.raises(ValueError):

@@ -31,14 +31,24 @@ def assert_fails(result, fragment):
         (checks.bracket_containment, 9, "thetas_neg", 2, lambda v: v + 1.0, ") at n=9"),
         (checks.bracket_containment, 10, "positives", 4, lambda v: 1.0,  # largest root
          "positive bound fails at n=10 j=5"),
+        (checks.bracket_containment, 10, "negatives", 1, lambda v: v - 1.0,
+         "negative bound fails at n=10 j=2"),
         (checks.pair_symmetry_bound, 10, "negatives", 0, lambda v: v - 0.2,
          "defect exceeds bound at n=10 j=1"),
         (checks.eigenvalue_estimate_bound, 10, "positives", 1, lambda v: v + 0.2,
          "positive estimate off at n=10 j=2"),
+        (checks.eigenvalue_estimate_bound, 10, "negatives", 1, lambda v: v - 0.2,
+         "negative estimate off at n=10 j=2"),
     ],
 )
 def test_check_fails_on_a_corrupted_spectrum(check, n, field, index, edit, fragment):
     assert_fails(check(corrupt(n, field, index, edit)), fragment)
+
+
+def test_bracket_containment_catches_a_missing_root():
+    spec = SPECTRA[9]
+    short = replace(spec, negatives=spec.negatives[:-1], thetas_neg=spec.thetas_neg[:-1])
+    assert_fails(checks.bracket_containment({**SPECTRA, 9: short}), "root count off at n=9")
 
 
 def test_laplacian_catches_an_eigenvalue_off_by_1e3(monkeypatch):

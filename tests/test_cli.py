@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from arspec import solver
+from arspec import oracle, solver, threshold
 from arspec.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 
 
@@ -41,6 +41,29 @@ def test_spectrum_dense_and_both(capsys):
     doc = json.loads(out)
     assert doc["max_delta"] < 1e-8
     assert len(doc["deltas"]) == 11
+
+
+def test_spectrum_both_csv(capsys):
+    code, out, _ = run(capsys, "spectrum", "--n", "9", "--method", "both", "--format", "csv")
+    assert code == EXIT_OK
+    rows = out.split("\r\n")
+    assert rows[0] == "index,lambda_cheb,lambda_dense,delta"
+    assert len(rows) == 11 and rows[-1] == ""  # header, 9 rows, final CRLF
+    assert "\n" not in out.replace("\r\n", "")
+
+
+def test_spectrum_both_flags_a_disagreement(monkeypatch, capsys):
+    exact = oracle.jacobi_eigenvalues
+
+    def shifted(a):
+        result = exact(a)
+        result.eigenvalues[4] += 1e-6
+        return result
+
+    monkeypatch.setattr(oracle, "jacobi_eigenvalues", shifted)
+    code, _, err = run(capsys, "spectrum", "--n", "9", "--method", "both")
+    assert code == EXIT_CHECK_FAILED
+    assert err.startswith("spectrum: solver/oracle disagreement ")
 
 
 def test_spectrum_usage_errors(capsys):
@@ -129,6 +152,21 @@ def test_scan_json_and_exit(capsys):
 ])
 def test_scan_output_is_pinned(capsys, argv, want):
     assert run(capsys, *argv) == (EXIT_OK, want, "")
+
+
+def test_scan_flags_unattained_extremes(monkeypatch, capsys):
+    exact = threshold.omega_scan
+
+    def off(n, workers=None):
+        report = exact(n, workers)
+        report.antiregular_min_positive += 1e-6
+        return report
+
+    monkeypatch.setattr(threshold, "omega_scan", off)
+    code, _, err = run(capsys, "scan", "--n", "8")
+    assert code == EXIT_CHECK_FAILED
+    assert err == "scan: extremes not attained by the anti-regular graph\n"
+    assert run(capsys, "scan", "--n", "8", "--check", "omega")[0] == EXIT_OK
 
 
 def test_scan_csv(capsys):

@@ -10,7 +10,6 @@ from arspec.graphs import (
     apply_permutation,
     block_adjacency,
     block_permutation,
-    degree_sequence,
     inverse_block_adjacency,
     laplacian,
     path_adjacency,
@@ -47,12 +46,13 @@ def test_adjacency_rejects_bad_sequences():
 
 def test_degree_sequence_antiregular():
     # one repeated degree, everything else distinct
-    degs = degree_sequence(antiregular_adjacency(8))
-    assert degs == [7, 6, 5, 4, 4, 3, 2, 1]
-    degs = degree_sequence(antiregular_adjacency(7))
-    assert degs == [6, 5, 4, 3, 3, 2, 1]
+    def degrees(n):
+        return sorted(antiregular_adjacency(n).sum(axis=1).tolist(), reverse=True)
+
+    assert degrees(8) == [7, 6, 5, 4, 4, 3, 2, 1]
+    assert degrees(7) == [6, 5, 4, 3, 3, 2, 1]
     for n in range(2, 20):
-        degs = degree_sequence(antiregular_adjacency(n))
+        degs = degrees(n)
         assert len(degs) - len(set(degs)) == 1
 
 
@@ -61,6 +61,17 @@ def test_laplacian_rows_sum_to_zero():
     lap = laplacian(a)
     assert np.all(lap.sum(axis=1) == 0)
     assert np.array_equal(np.diag(lap), a.sum(axis=1))
+
+
+@pytest.mark.parametrize("a, message", [
+    (np.zeros((2, 3), dtype=int), "must be square"),
+    (np.array([[0, 1], [0, 0]]), "must be symmetric"),
+    (np.array([[1, 1], [1, 0]]), "zero diagonal"),
+    (np.array([[0, 2], [2, 0]]), "must be 0 or 1"),
+])
+def test_laplacian_rejects_non_adjacency(a, message):
+    with pytest.raises(ValueError, match=message):
+        laplacian(a)
 
 
 def test_path_adjacency_shape():
@@ -100,6 +111,13 @@ def test_block_inverse_is_exact(k):
     assert a.dtype == np.int64 and inv.dtype == np.int64
     assert np.array_equal(a @ inv, np.eye(2 * k, dtype=np.int64))
     assert np.array_equal(inv @ a, np.eye(2 * k, dtype=np.int64))
+
+
+def test_block_forms_need_k_at_least_1():
+    with pytest.raises(ValueError):
+        block_adjacency(0)
+    with pytest.raises(ValueError):
+        inverse_block_adjacency(0)
 
 
 def test_block_adjacency_k1_is_single_edge():

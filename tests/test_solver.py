@@ -62,6 +62,13 @@ def test_theta_of_lambda_rejects_gap(lam):
         theta_of_lambda(lam)
 
 
+def test_theta_of_lambda_clamps_to_pi():
+    # the cosine argument rounds to just below -1 here; the clamp maps it to pi
+    lam = 7e11
+    assert (1.0 - 2.0 * lam - 2.0 * lam * lam) / (2.0 * lam * (lam + 1.0)) < -1.0
+    assert theta_of_lambda(lam) == math.pi
+
+
 def test_theta_of_lambda_huge():
     # lam * lam overflows here; the angle still tends to pi
     assert theta_of_lambda(1e300) == pytest.approx(math.pi, rel=1e-15)
@@ -181,6 +188,17 @@ def test_odd_branch_ratio_endpoints():
     assert odd_ratio_negative(0.0) == pytest.approx(5.0 - math.sqrt(8.0), abs=1e-12)
     assert odd_ratio_positive(math.pi) == pytest.approx(-1.0, abs=1e-12)
     assert odd_ratio_negative(math.pi) == pytest.approx(-1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("fn, args", [
+    (sine_ratio_even, (1.0, 0)),
+    (sine_ratio_odd, (3.2, 3)),
+    (odd_ratio_positive, (3.2,)),
+    (odd_ratio_negative, (-0.1,)),
+])
+def test_ratio_input_checks(fn, args):
+    with pytest.raises(ValueError):
+        fn(*args)
 
 
 def test_odd_ratio_consistent_with_branches():
