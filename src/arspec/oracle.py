@@ -43,6 +43,9 @@ MAX_SWEEPS = 100
 # the cyclic order converges on in fewer sweeps.  Moving the switch would
 # change the last digits at the orders it moves over, so it stays at 16.
 ROUND_ROBIN_MIN_ORDER = 16
+# Largest order times largest entry swept unscaled: the squared norms of the
+# sweeps stay below (n * max|a_ij|)^2, which is finite up to 2^1024.
+_UNSCALED_NORM_MAX = 2.0 ** 510
 
 
 class ConvergenceError(RuntimeError):
@@ -111,18 +114,27 @@ def jacobi_eigenvalues(m) -> EigenResult:
     below JACOBI_TOL times the Frobenius norm of the input.  The off-diagonal
     norm is recomputed directly each sweep; forming it by subtracting the
     diagonal from the total norm cancels catastrophically and would stall
-    the loop around sqrt(eps) times the matrix norm.
+    the loop around sqrt(eps) times the matrix norm.  A matrix whose squared
+    norm could overflow (order times largest entry above 2^510) is swept
+    divided by a power of two, which is exact, and its eigenvalues are
+    multiplied back.
 
     Raises ValueError for non-square, asymmetric or non-finite input, and
     ConvergenceError if MAX_SWEEPS sweeps do not reach the target.
     """
     a = _check_square(m)
-    scale = max(1.0, float(np.max(np.abs(a))))
+    n = a.shape[0]
+    amax = float(np.max(np.abs(a)))
+    shift = 0
+    if n * amax > _UNSCALED_NORM_MAX:
+        # sweep a / 2^shift, exactly, and scale the results back
+        shift = math.frexp(amax)[1]
+        a, amax = np.ldexp(a, -shift), math.ldexp(amax, -shift)
+    scale = max(1.0, amax)
     asym = float(np.max(np.abs(a - a.T)))
     if asym > SYMMETRY_TOL * scale:
         raise ValueError("matrix is not symmetric (max asymmetry %.3e)" % asym)
     a = 0.5 * (a + a.T)
-    n = a.shape[0]
     target = JACOBI_TOL * math.sqrt(float(np.sum(a * a)))
     sweep = _cyclic_sweep
     if n >= ROUND_ROBIN_MIN_ORDER:
@@ -133,10 +145,11 @@ def jacobi_eigenvalues(m) -> EigenResult:
     while True:
         off = _off_norm(a)
         if off <= target:
-            eigs = sorted(float(x) for x in np.diag(a)[:n])
-            return EigenResult(order=n, eigenvalues=eigs, sweeps=sweeps, off_norm=off,
-                               rotations=rotations)
+            eigs = sorted(float(x) for x in np.ldexp(np.diag(a)[:n], shift))
+            return EigenResult(order=n, eigenvalues=eigs, sweeps=sweeps,
+                               off_norm=float(np.ldexp(off, shift)), rotations=rotations)
         if sweeps == MAX_SWEEPS:
+            off, target = float(np.ldexp(off, shift)), float(np.ldexp(target, shift))
             raise ConvergenceError(
                 "off-diagonal norm %.3e still above target %.3e after %d sweeps"
                 % (off, target, sweeps), order=n, sweeps=sweeps, off_norm=off, target=target)

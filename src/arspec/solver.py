@@ -34,7 +34,8 @@ Everything is plain float arithmetic with two guards on sin(k theta),
 whose naive product loses about log2(k) bits of the angle: above pi/2 the
 multiple is taken of the exact supplement pi - theta, which keeps odd
 orders accurate next to pi, and for k above one million the reduction of
-k * theta modulo 2 pi is done in exact rational arithmetic.
+k * theta modulo 2 pi is done exactly in integers, against 2 pi held to 192
+fractional bits (the exact radian reduction of Payne and Hanek, 1983).
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 FORBIDDEN_LO = -(1.0 + math.sqrt(2.0)) / 2.0
 FORBIDDEN_HI = (math.sqrt(2.0) - 1.0) / 2.0
@@ -53,8 +53,11 @@ _DIRECT_MULT_LIMIT = 1_000_000
 # pi minus its double rounding math.pi.
 _PI_LO = 1.2246467991473532e-16
 
-# 2 pi to 60 significant digits, for exact-rational argument reduction.
-_TWO_PI = Fraction("6.28318530717958647692528676655900576839433879875021164194989")
+# floor(2 pi * 2^_TWO_PI_BITS), from 2 pi to 60 significant digits, for exact
+# integer argument reduction.
+_TWO_PI_BITS = 192
+_TWO_PI_INT = (628318530717958647692528676655900576839433879875021164194989
+               << _TWO_PI_BITS) // 10 ** 59
 
 
 class BracketRootError(RuntimeError):
@@ -156,7 +159,7 @@ def branch_positive_derivative(theta: float) -> float:
 
 
 def _sin_mult(j: int, theta: float) -> float:
-    # sin(j * theta); exact-rational reduction once j would erase too many
+    # sin(j * theta); exact integer reduction once j would erase too many
     # low bits of the angle in the float product.  Above pi/2 the product
     # is taken on the supplement instead, pi - theta being exact there:
     # sin(j theta) = (-1)^(j+1) sin(j (pi - theta)), which keeps the low
@@ -166,8 +169,16 @@ def _sin_mult(j: int, theta: float) -> float:
             return math.sin(j * theta)
         s = math.sin(j * ((math.pi - theta) + _PI_LO))
         return s if j % 2 else -s
-    reduced = (Fraction(j) * Fraction(theta)) % _TWO_PI
-    return math.sin(float(reduced))
+    return math.sin(_reduce_two_pi(j, theta))
+
+
+def _reduce_two_pi(j: int, theta: float) -> float:
+    # j * theta mod 2 pi, rounded once.  theta is m / d with d a power of
+    # two, so the remainder is (j m 2^B mod T d) / (d 2^B) for
+    # T = _TWO_PI_INT and B = _TWO_PI_BITS; int / int rounds correctly,
+    # subnormal quotients included.
+    m, d = theta.as_integer_ratio()
+    return ((j * m) << _TWO_PI_BITS) % (_TWO_PI_INT * d) / (d << _TWO_PI_BITS)
 
 
 def sine_ratio_even(theta: float, k: int) -> float:

@@ -2,6 +2,7 @@
 against hand-computable spectra and internal consistency identities only."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -96,6 +97,24 @@ def test_eigenvalues_invariant_under_relabeling_above_the_crossover():
     images = np.random.default_rng(20261018).permutation(n) + 1
     shuffled = jacobi_eigenvalues(apply_permutation(a, images).astype(float))
     assert shuffled.eigenvalues == pytest.approx(base, abs=1e-10)
+
+
+def test_huge_entries_do_not_overflow_the_norm():
+    # the squared norm of this matrix overflows; it used to come back [0, 0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = jacobi_eigenvalues([[0.0, 1e200], [1e200, 0.0]])
+    assert res.eigenvalues == [-1e200, 1e200]
+
+
+@pytest.mark.parametrize("n", [BELOW, ABOVE])
+def test_power_of_two_scaling_is_exact(n):
+    # a matrix past the overflow guard gives the unscaled eigenvalues times
+    # the same power of two, bit for bit, on both sweep orders
+    a = antiregular_adjacency(n).astype(float)
+    base = jacobi_eigenvalues(a).eigenvalues
+    big = jacobi_eigenvalues(a * 2.0 ** 600).eigenvalues
+    assert big == [x * 2.0 ** 600 for x in base]
 
 
 def test_rejects_asymmetric_and_bad_shapes():

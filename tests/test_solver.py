@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import random
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -313,9 +315,38 @@ def test_single_bracket_entry_points_match_full_solve():
 
 @pytest.mark.parametrize("k", [2_000_000, 2_483_630, 5_098_402])
 def test_huge_order_argument_reduction(k):
-    # one bracket solved with the exact-rational sine path (k > 10^6)
+    # one bracket solved with the exact integer sine path (k > 10^6)
     ratio = last_bracket_ratio(k)
     assert 0.5 < ratio < 0.5001
+
+
+# 2 pi to 60 significant digits, as a rational
+_TWO_PI_FRACTION = Fraction("6.28318530717958647692528676655900576839433879875021164194989")
+
+
+def _fraction_reduction(j, theta):
+    return float((Fraction(j) * Fraction(theta)) % _TWO_PI_FRACTION)
+
+
+def test_integer_reduction_matches_rational_reference():
+    rng = random.Random(20260)
+    pairs = [(rng.randint(solver._DIRECT_MULT_LIMIT + 1, 2 ** 25), rng.uniform(0.0, math.pi))
+             for _ in range(12_000)]
+    assert sum(theta < 0.5 * math.pi for _, theta in pairs) > 5000
+    assert sum(theta > 0.5 * math.pi for _, theta in pairs) > 5000
+    edges = (0.0, 5e-324, 1e-300, 1e-20, math.pi, math.nextafter(math.pi, 0.0))
+    pairs += [(j, theta) for j in (solver._DIRECT_MULT_LIMIT + 1, 8_000_000, 2 ** 25)
+              for theta in edges]
+    for j, theta in pairs:
+        reduced = solver._reduce_two_pi(j, theta)
+        assert reduced == _fraction_reduction(j, theta), (j, theta)
+        assert solver._sin_mult(j, theta) == math.sin(reduced)
+
+
+@pytest.mark.parametrize("k, ratio", [(8_000_000, 0.5000000327950507),
+                                      (2 ** 23 + 1, 0.5000000296449201)])
+def test_last_bracket_ratio_pinned_above_a_million(k, ratio):
+    assert last_bracket_ratio(k) == ratio
 
 
 def _reference_brackets():
