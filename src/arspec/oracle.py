@@ -44,7 +44,8 @@ MAX_SWEEPS = 100
 # change the last digits at the orders it moves over, so it stays at 16.
 ROUND_ROBIN_MIN_ORDER = 16
 # Largest order times largest entry swept unscaled: the squared norms of the
-# sweeps stay below (n * max|a_ij|)^2, which is finite up to 2^1024.
+# sweeps stay below (n * max|a_ij|)^2, which is finite up to 2^1024.  A
+# largest entry below its inverse is scaled too, before its square underflows.
 _UNSCALED_NORM_MAX = 2.0 ** 510
 
 
@@ -115,9 +116,9 @@ def jacobi_eigenvalues(m) -> EigenResult:
     norm is recomputed directly each sweep; forming it by subtracting the
     diagonal from the total norm cancels catastrophically and would stall
     the loop around sqrt(eps) times the matrix norm.  A matrix whose squared
-    norm could overflow (order times largest entry above 2^510) is swept
-    divided by a power of two, which is exact, and its eigenvalues are
-    multiplied back.
+    norm could overflow (order times largest entry above 2^510) or underflow
+    (a nonzero largest entry below 2^-510) is swept scaled by a power of two,
+    which is exact, and its eigenvalues are scaled back.
 
     Raises ValueError for non-square, asymmetric or non-finite input, and
     ConvergenceError if MAX_SWEEPS sweeps do not reach the target.
@@ -126,7 +127,7 @@ def jacobi_eigenvalues(m) -> EigenResult:
     n = a.shape[0]
     amax = float(np.max(np.abs(a)))
     shift = 0
-    if n * amax > _UNSCALED_NORM_MAX:
+    if n * amax > _UNSCALED_NORM_MAX or 0.0 < amax < 1.0 / _UNSCALED_NORM_MAX:
         # sweep a / 2^shift, exactly, and scale the results back
         shift = math.frexp(amax)[1]
         a, amax = np.ldexp(a, -shift), math.ldexp(amax, -shift)

@@ -435,17 +435,6 @@ def last_bracket_ratio(k: int) -> float:
     return (theta - lo) / (hi - lo)
 
 
-def lambda_max_midpoint_estimate(k: int) -> float:
-    """Sine ratio at the midpoint of the last bracket of order 2k.
-
-    Cheap closed-form stand-in for the largest eigenvalue, accurate to
-    about a percent already for k in the hundreds.
-    """
-    k = _check_k(k)
-    lo, hi = bracket_poles(2 * k, k)
-    return _ratio_even(lo + 0.5 * (hi - lo), k)
-
-
 def innermost_eigenvalues(k: int) -> tuple[float, float | None]:
     """First-bracket eigenvalue pair of the order-2k graph.
 

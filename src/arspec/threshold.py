@@ -13,8 +13,10 @@ The scans cover every connected threshold graph of a given order
 check two spectral statements: no nontrivial eigenvalue falls inside the
 forbidden interval, and the eigenvalues nearest that interval over the
 whole family belong to the anti-regular graph.  Exact eigenvalue counts by
-Sylvester inertia decide every graph at once; the dense oracle runs only
-on the few graphs the counts flag, so reported values are dense ones.
+Sylvester inertia decide the graphs in chunks of 2^14, streamed depth first
+through one elimination, so a scan holds a few chunks and the indices they
+flag, never an array over the whole order.  The dense oracle runs only on
+the few flagged graphs, so reported values are dense ones.
 """
 
 from __future__ import annotations
@@ -176,79 +178,69 @@ def _dense_row(bits):
     return (sequence_to_string(bits),) + _graph_stats(bits)
 
 
-_CHUNK_BITS = 20  # float64 entries per batch, all x together: 8 MB per array
+_CHUNK_BITS = 14  # 2^14 graphs per chunk, all x together: 2^13 to 2^14 ran fastest at order 26
 _BOTH = np.array([[0.0], [1.0]])  # a free vertex: the b = 0 batch, then the b = 1 batch
 
 
 def _eliminate(c, neg, x, b):
     """Pivot out the last vertex, bit b (0, 1 or _BOTH), of every entry:
-    the new shift c - (b + c)^2 / d, formed in one array."""
-    d = c - x
-    shift = b + c
-    shift **= 2
-    shift /= d
-    np.subtract(c, shift, out=shift)
+    the new shift c - (b + c)^2 / d, formed in one array; a zero pivot
+    leaves an infinite or NaN shift."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d = c - x
+        shift = b + c
+        shift **= 2
+        shift /= d
+        np.subtract(c, shift, out=shift)
     return shift, np.broadcast_to(neg + (d < 0), shift.shape)
 
 
-def inertia_below(n: int, x) -> np.ndarray:
-    """Number of eigenvalues below x of every connected threshold graph of
-    order n, indexed by its middle-bit integer m; int8, and -1 where a pivot
-    was zero or not finite.  A 1-d array of x gives one row of counts per x.
+def inertia_chunks(n: int, xs):
+    """Number of eigenvalues below each x of xs, for every connected
+    threshold graph of order n, one chunk of consecutive middle-bit
+    integers m at a time: yields (m0, counts), where counts[k, j] is the
+    count below xs[k] of graph m0 + j, int8, and -1 where a pivot was zero
+    or not finite.  Chunks come depth first, not in order of m0.
 
     Eliminating A - xI from the last vertex to the first leaves a block
     whose entries all carry one shift c (Jacobs, Trevisan and Tura, Linear
     Algebra Appl. 439, 2013): vertex i with bit b has pivot d = c - x and
     leaves c - (b + c)^2 / d, and by Sylvester's law of inertia the negative
     pivots count the eigenvalues below x.  d does not depend on b, so each
-    free vertex from n - 2 down to 1 doubles the batch, b = 0 block first,
-    which leaves index m.  A batch holds at most 2^_CHUNK_BITS entries: as
-    many x as fit whole, or one x and the vertices above _CHUNK_BITS one
-    chunk at a time.
+    free vertex doubles the batch.  The lowest _CHUNK_BITS bits of m are
+    doubled once for all chunks; the higher vertices are finished depth
+    first, so graphs that share those bits share their elimination.
     """
-    xs = np.asarray(x, dtype=float)
-    col = xs.reshape(-1, 1)  # one row of entries per x
-    counts = np.empty((col.shape[0], 1 << (n - 2)), dtype=np.int8)
-    top = max(n - 2 - _CHUNK_BITS, 0)
-    group = 1 << max(_CHUNK_BITS - (n - 2), 0)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for g in range(0, col.shape[0], group):
-            gx = col[g:g + group]
-            rows = gx.shape[0]
-            c, neg = _eliminate(np.zeros((rows, 1)), np.zeros((rows, 1), dtype=np.int8), gx, 1.0)
-            for _ in range(n - 2 - top):
-                c, neg = _eliminate(c[:, None], neg[:, None], gx[:, None], _BOTH)
-                c, neg = c.reshape(rows, -1), neg.reshape(rows, -1)
-            size = c.shape[1]
-            for h in range(1 << top):
-                hc, hneg = c, neg
-                for i in range(top, -1, -1):  # vertex i has bit top - i of h, vertex 0 bit 0
-                    hc, hneg = _eliminate(hc, hneg, gx, (h >> (top - i)) & 1)
-                # a zero pivot leaves an infinite or NaN shift through the last vertex
-                counts[g:g + rows, h * size:(h + 1) * size] = np.where(np.isfinite(hc), hneg, -1)
-    return counts.reshape(xs.shape + counts.shape[1:])
+    x = np.asarray(xs, dtype=float)[:, None]
+    low = min(n - 2, _CHUNK_BITS)
+    c, neg = _eliminate(np.zeros((len(x), 1)), np.zeros((len(x), 1), dtype=np.int8), x, 1.0)
+    for _ in range(low):
+        c, neg = _eliminate(c[:, None], neg[:, None], x[:, None], _BOTH)
+        c, neg = c.reshape(len(x), -1), neg.reshape(len(x), -1)
+    yield from _finish(c, neg, x, n - 2 - low, 0, 1 << low)
 
 
-def _trivial_count(n: int) -> np.ndarray:
-    """Exact multiplicity of 0 and -1 together, for every middle-bit m: the
-    adjacent equal bits of the creation sequence, plus one when it starts 01
-    (vertices 0 and 1 are then adjacent twins, another -1).
+def _finish(c, neg, x, i, m0, step):
+    """Pivot out vertices i down to 0 of a chunk whose vertices above i are
+    done, vertex i adding step to m when its bit is 1; yield (m0, counts)
+    per chunk."""
+    if i == 0:
+        c, neg = _eliminate(c, neg, x, 0.0)
+        # a zero pivot's infinite or NaN shift lasts through vertex 0
+        yield m0, np.where(np.isfinite(c), neg, -1)
+        return
+    c, neg = _eliminate(c[:, None], neg[:, None], x[:, None], _BOTH)
+    for b in (0, 1):
+        yield from _finish(c[:, b], neg[:, b], x, i - 1, m0 + b * step, 2 * step)
 
-    Built in place, prepending vertices from n - 2 down to 1: the new vertex
-    is the top bit of the doubled index and adds one where it equals the
-    next vertex's bit (the old top bit, or the last vertex's 1).  Vertex 0
-    then adds one to every graph: an equal pair 00, or the start 01.
-    """
-    counts = np.zeros(1 << (n - 2), dtype=np.uint8)
-    size = 1
-    while size < counts.size:
-        counts[size:2 * size] = counts[:size]
-        half = size // 2
-        counts[:half] += 1  # 0 before 0
-        counts[size + half:2 * size] += 1  # 1 before 1 (the last vertex when size is 1)
-        size *= 2
-    counts += 1
-    return counts
+
+def _trivial_count(n: int, m) -> np.ndarray:
+    """Exact multiplicity of 0 and -1 together, for the middle-bit integers
+    m: the adjacent equal bits of the creation sequence, n - 1 less its
+    changes, plus one when it starts 01 (vertices 0 and 1 are then adjacent
+    twins, another -1)."""
+    s = 2 * np.asarray(m) + 1  # the sequence after vertex 0, vertex 1 highest
+    return n - 1 - np.bitwise_count(s ^ (s >> 1)) + ((s >> (n - 2)) & 1)
 
 
 def _fold(dense, col: int, extreme, sign: float):
@@ -290,7 +282,8 @@ def omega_scan(n: int, workers: int | None = None) -> ScanReport:
     all four.  It also runs on each graph whose exact counts show a
     nontrivial eigenvalue in a window slightly wider than the violation
     window or within 3 TIE_TOL beyond an anti-regular extreme, or hit a zero
-    pivot; the anti-regular row is reused in its sequence-order slot.
+    pivot; each chunk of counts is flagged as it arrives, and the flagged
+    graphs run in sequence order, the anti-regular row reused in its slot.
     workers is validated only: the scan is one vectorised pass.
     """
     if not 2 <= n <= MAX_SCAN_ORDER:
@@ -302,18 +295,19 @@ def omega_scan(n: int, workers: int | None = None) -> ScanReport:
     anti_row = _dense_row(anti)
     anti_min, anti_max = anti_row[2:]
     # without an extreme (n = 2) flag every graph with a value beyond the window
-    below_lo, below_hi, beyond_min, beyond_max = inertia_below(n, [
-        FORBIDDEN_LO + GAP_MARGIN / 2,
-        FORBIDDEN_HI - GAP_MARGIN / 2,
-        np.inf if anti_min is None else anti_min + 3 * TIE_TOL,
-        -np.inf if anti_max is None else anti_max - 3 * TIE_TOL,
-    ])
-    flagged = (below_hi - below_lo != _trivial_count(n)) | (below_lo < 0) | (below_hi < 0)
-    # an undecided count differs from its edge, or the edge is undecided and flagged
-    flagged |= (beyond_min != below_hi) | (beyond_max != below_lo)
-    flagged[anti_m] = True
+    xs = [FORBIDDEN_LO + GAP_MARGIN / 2, FORBIDDEN_HI - GAP_MARGIN / 2,
+          np.inf if anti_min is None else anti_min + 3 * TIE_TOL,
+          -np.inf if anti_max is None else anti_max - 3 * TIE_TOL]
+    kept = []
+    for m0, (below_lo, below_hi, beyond_min, beyond_max) in inertia_chunks(n, xs):
+        m = m0 + np.arange(below_lo.size)
+        flagged = (below_hi - below_lo != _trivial_count(n, m)) | (below_lo < 0) | (below_hi < 0)
+        # an undecided count differs from its edge, or the edge is undecided and flagged
+        flagged |= (beyond_min != below_hi) | (beyond_max != below_lo)
+        kept.append(m[flagged | (m == anti_m)])
+    # chunks arrive out of order, and _fold folds in sequence order
     dense = [anti_row if m == anti_m else _dense_row(_creation_sequence(n, int(m)))
-             for m in np.flatnonzero(flagged)]
+             for m in np.sort(np.concatenate(kept))]
     return ScanReport(
         n=n,
         graphs_scanned=1 << (n - 2),

@@ -107,14 +107,27 @@ def test_huge_entries_do_not_overflow_the_norm():
     assert res.eigenvalues == [-1e200, 1e200]
 
 
+@pytest.mark.parametrize("tiny", [1e-200, 1e-300, 5e-324])
+def test_tiny_entries_do_not_underflow_the_norm(tiny):
+    # the squared norm of this matrix underflows to 0, which would stop the
+    # sweeps before the first one
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = jacobi_eigenvalues([[0.0, tiny], [tiny, 0.0]])
+    assert res.eigenvalues == [-tiny, tiny]
+    assert res.sweeps == 1
+
+
 @pytest.mark.parametrize("n", [BELOW, ABOVE])
 def test_power_of_two_scaling_is_exact(n):
-    # a matrix past the overflow guard gives the unscaled eigenvalues times
-    # the same power of two, bit for bit, on both sweep orders
+    # a matrix past the overflow or underflow guard gives the unscaled
+    # eigenvalues times the same power of two, bit for bit, on both sweep orders
     a = antiregular_adjacency(n).astype(float)
     base = jacobi_eigenvalues(a).eigenvalues
     big = jacobi_eigenvalues(a * 2.0 ** 600).eigenvalues
     assert big == [x * 2.0 ** 600 for x in base]
+    small = jacobi_eigenvalues(a * 2.0 ** -600).eigenvalues
+    assert small == [x * 2.0 ** -600 for x in base]
 
 
 def test_rejects_asymmetric_and_bad_shapes():

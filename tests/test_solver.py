@@ -24,7 +24,6 @@ from arspec.solver import (
     extreme_eigenvalue_bounds,
     forbidden_interval_check,
     innermost_eigenvalues,
-    lambda_max_midpoint_estimate,
     last_bracket_ratio,
     odd_ratio_negative,
     odd_ratio_positive,
@@ -467,12 +466,6 @@ def test_last_bracket_ratio_reference_row():
 
 def test_last_bracket_ratio_drifts_to_half():
     assert abs(last_bracket_ratio(500) - 0.5) < 0.003
-
-
-def test_midpoint_estimate_tracks_lambda_max():
-    est = lambda_max_midpoint_estimate(125)
-    lam_max = solve_spectrum(250).positives[-1]
-    assert abs(est - lam_max) / lam_max < 0.01
 
 
 def test_innermost_pair_and_limits():

@@ -178,12 +178,24 @@ def test_worker_resolution():
             omega_scan(5, workers=workers)
 
 
+def _stitched(n, xs):
+    """The chunks of inertia_chunks(n, xs) stitched into one (len(xs),
+    2^(n-2)) array, each graph covered by exactly one chunk."""
+    counts = np.full((len(xs), 1 << (n - 2)), -2, dtype=np.int8)
+    for m0, chunk in threshold.inertia_chunks(n, xs):
+        assert chunk.dtype == np.int8 and (counts[:, m0:m0 + chunk.shape[1]] == -2).all()
+        counts[:, m0:m0 + chunk.shape[1]] = chunk
+    assert (counts != -2).all()
+    return counts
+
+
 @pytest.mark.parametrize("n", range(2, 13))
 def test_counts_match_eigvalsh_exhaustively(n):
     matrices = [adjacency_from_sequence(b) for b in enumerate_connected_threshold(n)]
     eigs = np.linalg.eigvalsh(np.array(matrices, dtype=float))
     near_trivial = (np.abs(eigs) < 1e-8) | (np.abs(eigs + 1.0) < 1e-8)
-    assert np.array_equal(threshold._trivial_count(n), near_trivial.sum(axis=1))
+    m = np.arange(1 << (n - 2))
+    assert np.array_equal(threshold._trivial_count(n, m), near_trivial.sum(axis=1))
     _, anti_min, anti_max = threshold._graph_stats(antiregular_sequence(n))
     points = [threshold.FORBIDDEN_LO + threshold.GAP_MARGIN / 2,
               threshold.FORBIDDEN_HI - threshold.GAP_MARGIN / 2,
@@ -191,40 +203,32 @@ def test_counts_match_eigvalsh_exhaustively(n):
               anti_min + 3 * threshold.TIE_TOL, -2.5, -1.5, -0.5, 0.5, 1.5, n - 0.5]
     if anti_max is not None:
         points.append(anti_max - 3 * threshold.TIE_TOL)
-    for x in points:
-        assert np.array_equal(threshold.inertia_below(n, x), (eigs < x).sum(axis=1)), x
+    for x, row in zip(points, _stitched(n, points)):
+        assert np.array_equal(row, (eigs < x).sum(axis=1)), x
 
 
-def _bit_trivial_count(n):
-    """The trivial count from the sequence bits at once: n - 1 less the
-    changes between adjacent bits, plus one where the sequence starts 01."""
-    s = np.arange(1 << (n - 2), dtype=np.uint32) * 2 + 1  # the sequence, b_0 highest
-    starts_01 = (s >> (n - 2)).astype(np.uint8) & 1
-    return n - 1 - np.bitwise_count(s ^ (s >> 1)) + starts_01
+def _python_trivial_count(bits):
+    """Adjacent equal bits of one creation sequence, plus one if it starts 01."""
+    return sum(a == b for a, b in zip(bits, bits[1:])) + (bits[:2] == (0, 1))
 
 
-@pytest.mark.parametrize("n", range(2, 23))
+@pytest.mark.parametrize("n", range(2, 27))
 def test_trivial_count_matches_bit_formula(n):
-    counts = threshold._trivial_count(n)
-    assert counts.dtype == np.uint8
-    assert np.array_equal(counts, _bit_trivial_count(n))
-
-
-def test_trivial_count_needs_no_temporaries():
-    tracemalloc.start()
-    try:
-        counts = threshold._trivial_count(20)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * counts.nbytes, (peak, counts.nbytes)
+    # the bit formula of _trivial_count against a count along each sequence
+    size = 1 << (n - 2)
+    rng = np.random.default_rng(n)
+    m = np.unique(np.concatenate([[0, size // 2, size - 1], rng.integers(0, size, 200)]))
+    expected = [_python_trivial_count(threshold._creation_sequence(n, int(k))) for k in m]
+    assert threshold._trivial_count(n, m).tolist() == expected
 
 
 def test_count_chunks_match_one_batch(monkeypatch):
-    whole = {(n, x): threshold.inertia_below(n, x) for n in (5, 9, 13) for x in (-1.3, 0.21)}
-    monkeypatch.setattr(threshold, "_CHUNK_BITS", 3)
-    for (n, x), counts in whole.items():
-        assert np.array_equal(threshold.inertia_below(n, x), counts)
+    xs = [-1.3, 0.21]
+    whole = {n: _stitched(n, xs) for n in (5, 9, 13)}
+    for chunk_bits in (3, 1):
+        monkeypatch.setattr(threshold, "_CHUNK_BITS", chunk_bits)
+        for n, counts in whole.items():
+            assert np.array_equal(_stitched(n, xs), counts), (n, chunk_bits)
 
 
 @pytest.mark.parametrize("chunk_bits", [20, 3, 1])
@@ -233,18 +237,15 @@ def test_batched_counts_equal_scalar_counts(monkeypatch, n, chunk_bits):
     # 0.0 and -1.0 hit zero pivots (undecided -1), +-inf lie beyond every eigenvalue
     xs = [-1.3, 0.0, 0.21, -1.0, np.inf, -np.inf, FORBIDDEN_LO, n - 0.5]
     monkeypatch.setattr(threshold, "_CHUNK_BITS", chunk_bits)
-    batch = threshold.inertia_below(n, xs)
-    assert batch.shape == (len(xs), 1 << (n - 2)) and batch.dtype == np.int8
+    batch = _stitched(n, xs)
     for x, row in zip(xs, batch):
-        assert np.array_equal(row, threshold.inertia_below(n, x)), x
+        assert np.array_equal(row, _stitched(n, [x])[0]), x
     assert (batch[1] == -1).all()
-    assert threshold.inertia_below(n, np.array(xs[:1])).shape == (1, 1 << (n - 2))
-    assert threshold.inertia_below(n, np.float64(0.21)).shape == (1 << (n - 2),)
 
 
 def test_batched_counts_keep_batches_small(monkeypatch):
-    # x share a batch of at most 2^_CHUNK_BITS float64 entries while they fit
-    # whole; beyond that each x goes alone, chunked as a scalar x would be
+    # one elimination holds at most two chunks of 2^_CHUNK_BITS graphs per x,
+    # and the chunks come depth first: the lowest high bit varies last
     sizes = []
     eliminate = threshold._eliminate
 
@@ -253,22 +254,20 @@ def test_batched_counts_keep_batches_small(monkeypatch):
         sizes.append(c.size)
         return c, neg
     monkeypatch.setattr(threshold, "_eliminate", record)
-    monkeypatch.setattr(threshold, "_CHUNK_BITS", 6)
-    calls = {}
-    for n, widest in ((6, [16, 32, 48, 64, 64]), (7, [32, 64, 64, 64, 64]), (12, [64] * 5)):
-        for k in range(1, 6):
-            sizes.clear()
-            threshold.inertia_below(n, np.linspace(0.1, 0.5, k))
-            assert max(sizes) == widest[k - 1], (n, k)
-            calls[n, k] = len(sizes)
-    assert calls[6, 1] == calls[6, 4] < calls[6, 5]  # four x in the eliminations of one
-    assert calls[12, 4] == 4 * calls[12, 1]
+    monkeypatch.setattr(threshold, "_CHUNK_BITS", 3)
+    for n, xs in ((4, [0.5]), (7, [0.5]), (12, [0.1, 0.5, 0.9])):
+        sizes.clear()
+        chunks = [(m0, c.shape) for m0, c in threshold.inertia_chunks(n, xs)]
+        assert max(sizes) == len(xs) * (1 << min(n - 2, 4)), n
+        assert len(chunks) == 1 << max(n - 5, 0)
+    assert [(m0, c.shape) for m0, c in threshold.inertia_chunks(7, [0.5])] == [
+        (m0, (1, 8)) for m0 in (0, 16, 8, 24)]
 
 
 def test_zero_pivot_is_undecided():
     # x = 0 is the pivot of the last vertex of every graph; -1 hits K_n's clique
-    assert (threshold.inertia_below(7, 0.0) == -1).all()
-    assert threshold.inertia_below(5, -1.0)[-1] == -1
+    assert (_stitched(7, [0.0]) == -1).all()
+    assert _stitched(5, [-1.0])[0, -1] == -1
 
 
 @settings(max_examples=300, deadline=None)
@@ -292,7 +291,7 @@ def test_count_matches_exact_elimination(middle, x):
         assert np.sum(eigs < x) == neg
     if len(seq) <= 12:
         m = int("0" + "".join(map(str, middle)), 2)
-        assert threshold.inertia_below(len(seq), x)[m] == neg
+        assert _stitched(len(seq), [x])[0, m] == neg
 
 
 def _dense_report(n):
@@ -340,19 +339,20 @@ def test_negative_control_flags_every_violation(monkeypatch, capsys):
 
 @pytest.mark.parametrize("fault", ["window", "pivot"])
 def test_faulty_counts_send_the_graph_to_the_dense_route(monkeypatch, fault):
-    # graph m = 5 gets a window count off by one, or an undecided count
-    if fault == "window":
-        trivial = threshold._trivial_count
-        monkeypatch.setattr(threshold, "_trivial_count",
-                            lambda n: trivial(n) + (np.arange(1 << (n - 2)) == 5))
-    else:
-        below = threshold.inertia_below
+    # graph m = 5 gets a window count off by one (its upper edge moved with
+    # it), or undecided counts
+    chunks = threshold.inertia_chunks
 
-        def undecided(n, x):
-            counts = below(n, x)
-            counts[..., 5] = -1
-            return counts
-        monkeypatch.setattr(threshold, "inertia_below", undecided)
+    def faulty(n, xs):
+        for m0, counts in chunks(n, xs):
+            if m0 <= 5 < m0 + counts.shape[1]:
+                counts = counts.copy()
+                if fault == "window":
+                    counts[1:3, 5 - m0] += 1
+                else:
+                    counts[:, 5 - m0] = -1
+            yield m0, counts
+    monkeypatch.setattr(threshold, "inertia_chunks", faulty)
     reference = _dense_report(9).to_json()
     dense, stats = set(), threshold._graph_stats
     monkeypatch.setattr(threshold, "_graph_stats", lambda bits: dense.add(bits) or stats(bits))
@@ -369,6 +369,32 @@ def test_wide_ties_flag_near_extremes(monkeypatch):
     monkeypatch.setattr(threshold, "TIE_TOL", 3e-2)
     with pytest.raises(RuntimeError, match="no TIE_TOL gap"):
         omega_scan(8)
+
+
+def test_out_of_order_chunks_fold_in_sequence_order(monkeypatch):
+    # four graphs per chunk: the flagged graphs near the extremes arrive
+    # from chunks out of sequence order, and the fold still sees them in it
+    monkeypatch.setattr(threshold, "_CHUNK_BITS", 2)
+    monkeypatch.setattr(threshold, "TIE_TOL", 3e-3)
+    for n in range(3, 11):
+        assert omega_scan(n).to_json() == _dense_report(n).to_json(), n
+
+
+def test_scan_does_not_depend_on_chunk_size(monkeypatch):
+    chunked = omega_scan(20).to_json()
+    monkeypatch.setattr(threshold, "_CHUNK_BITS", 20)
+    assert omega_scan(20).to_json() == chunked
+
+
+def test_scan_memory_stays_per_chunk():
+    # a whole-order count array alone is 4 * 2^20 bytes at order 22
+    tracemalloc.start()
+    try:
+        omega_scan(22)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2 ** 20, peak
 
 
 def test_fold_keeps_ties_and_needs_a_gap():
