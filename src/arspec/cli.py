@@ -64,12 +64,12 @@ def _check_out(args) -> None:
     """Fail fast when --out cannot be opened for writing.  Verbs call this
     after their own argument checks and before the costly work; append mode
     leaves an existing file as it is until _emit replaces it."""
-    if getattr(args, "out", None):
+    if args.out:
         _write_out(args.out, "a", "")
 
 
 def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         _write_out(args.out, "w", text)
     else:
         sys.stdout.write(text)
@@ -237,12 +237,7 @@ def _figure_curves(k: int, points: int, parity: str) -> str:
         if next_pole < len(poles) and theta > poles[next_pole]:
             rows.append("")
             next_pole += 1
-        try:
-            value = ratio(theta, k)
-        except ValueError:
-            rows.append("")
-            continue
-        rows.append("%r,%r,%r,%r" % (theta, value, upper(theta), lower(theta)))
+        rows.append("%r,%r,%r,%r" % (theta, ratio(theta, k), upper(theta), lower(theta)))
     return _csv(rows)
 
 

@@ -19,11 +19,13 @@ import numpy as np
 
 
 def _check_sequence(bits) -> tuple[int, ...]:
-    b = tuple(int(x) for x in bits)
+    b = tuple(bits)
     if len(b) < 2:
         raise ValueError("creation sequence needs length >= 2, got %d" % len(b))
+    # each value as given, so 0.5 or the digit "1" is refused, not truncated
     if any(x not in (0, 1) for x in b):
         raise ValueError("creation sequence bits must be 0 or 1")
+    b = tuple(int(x) for x in b)
     if b[0] != 0:
         raise ValueError("creation sequence must start with 0")
     return b

@@ -303,12 +303,12 @@ def quotient_eigenvalues(m, cell_sizes) -> EigenResult:
     rather than silently returning wrong eigenvalues.
     """
     a = _check_square(m)
-    sizes = [int(s) for s in cell_sizes]
+    sizes = list(cell_sizes)
     if len(sizes) != a.shape[0]:
         raise ValueError(
             "got %d cell sizes for order %d" % (len(sizes), a.shape[0])
         )
-    if any(s < 1 for s in sizes):
+    if any(s != int(s) or s < 1 for s in sizes):
         raise ValueError("cell sizes must be positive integers")
     d = np.sqrt(np.asarray(sizes, dtype=float))
     sym = a * d[:, None] / d[None, :]

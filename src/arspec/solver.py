@@ -76,8 +76,9 @@ def bracket_poles(n: int, j: int) -> tuple[float, float]:
     """Bracket j = 1..n//2 of the order-n sine ratio as (lo, hi).
 
     The ends are consecutive poles (j - 1) * step and j * step, except that
-    theta = 0 opens the first bracket and pi closes the last one.  For even
-    order 2k the step is 2 pi / (2k - 1); for odd order 2k + 1 it is pi / k.
+    theta = 0 opens the first bracket and pi closes the last one.  The step
+    is 2 pi / (n - 1) at both parities: 2 pi / (2k - 1) for even order 2k,
+    and for odd order 2k + 1 the double 2 pi / (2k), which equals pi / k.
     """
     n, j = int(n), int(j)
     if n < 2:
@@ -85,14 +86,8 @@ def bracket_poles(n: int, j: int) -> tuple[float, float]:
     k = n // 2
     if not 1 <= j <= k:
         raise ValueError("bracket index must lie in 1..%d, got %d" % (k, j))
-    step = _bracket_step(k, "odd" if n % 2 else "even")
+    step = 2.0 * math.pi / (n - 1)
     return (j - 1) * step, (j * step if j < k else math.pi)
-
-
-def _bracket_step(k: int, parity: str) -> float:
-    if parity == "even":
-        return 2.0 * math.pi / (2 * k - 1) if k > 1 else math.pi
-    return math.pi / k
 
 
 def theta_of_lambda(lam: float) -> float:
@@ -187,7 +182,9 @@ def sine_ratio_even(theta: float, k: int) -> float:
     The denominator is evaluated in the product form
     2 sin((2k-1) t / 2) cos(t / 2), which keeps full relative accuracy next
     to its zeros instead of cancelling.  The removable endpoint values are
-    k/(2k-1) at 0 and k at pi; interior poles raise ValueError.
+    k/(2k-1) at 0 and k at pi.  No double is a pole: the denominator is
+    never exactly 0 once t / 2 is nonzero, so next to a pole the ratio is
+    large but finite.
     """
     k = _check_k(k)
     if not 0.0 <= theta <= math.pi:
@@ -196,21 +193,21 @@ def sine_ratio_even(theta: float, k: int) -> float:
 
 
 def _ratio_even(theta: float, k: int) -> float:
-    if theta == 0.0:
+    if 0.5 * theta == 0.0:  # theta = 0, or 5e-324, whose half rounds to 0
         return k / (2.0 * k - 1.0)
     if theta == math.pi:
         return float(k)
     den = 2.0 * _sin_mult(2 * k - 1, 0.5 * theta) * math.cos(0.5 * theta)
-    if den == 0.0:
-        raise ValueError("pole of the sine ratio at theta=%r" % (theta,))
     return _sin_mult(k, theta) / den
 
 
 def sine_ratio_odd(theta: float, k: int) -> float:
     """sin((k-1) t) / sin(k t) for the order-(2k+1) eigenvalue test.
 
-    Removable endpoint values are (k-1)/k at 0 and -(k-1)/k at pi; the k-1
-    interior poles at multiples of pi/k raise ValueError.
+    Removable endpoint values are (k-1)/k at 0 and -(k-1)/k at pi.  The
+    k-1 interior poles sit at multiples of pi/k, none of them a double: the
+    sine of a nonzero double is never exactly 0, so next to a pole the ratio
+    is large but finite.
     """
     k = _check_k(k)
     if not 0.0 <= theta <= math.pi:
@@ -223,10 +220,7 @@ def _ratio_odd(theta: float, k: int) -> float:
         return (k - 1.0) / k
     if theta == math.pi:
         return -(k - 1.0) / k
-    den = _sin_mult(k, theta)
-    if den == 0.0:
-        raise ValueError("pole of the sine ratio at theta=%r" % (theta,))
-    return _sin_mult(k - 1, theta) / den
+    return _sin_mult(k - 1, theta) / _sin_mult(k, theta)
 
 
 def odd_ratio_positive(theta: float) -> float:
@@ -328,10 +322,6 @@ class SpectrumResult:
     def k(self) -> int:
         return self.n // 2
 
-    @property
-    def parity(self) -> str:
-        return "odd" if self.n % 2 else "even"
-
     def eigenvalues(self) -> list[float]:
         """All n eigenvalues in ascending order, trivial one included."""
         return sorted([*self.negatives, self.trivial, *self.positives])
@@ -400,7 +390,7 @@ def extreme_eigenvalue_bounds(spec: SpectrumResult) -> tuple[float, float]:
     raise ValueError.  RuntimeError signals an actual bound violation, which
     would mean the solved spectrum is wrong.
     """
-    if spec.parity != "even":
+    if spec.n % 2:
         raise ValueError("extreme bounds are stated for even order only")
     if spec.n < 4:
         raise ValueError("extreme bounds need n >= 4, got %d" % spec.n)
@@ -457,7 +447,7 @@ def symmetry_defect(spec: SpectrumResult, j: int) -> float:
     different angles, so the defect is small but nonzero.  Valid for
     j = 1..k-1.
     """
-    if spec.parity != "even":
+    if spec.n % 2:
         raise ValueError("pairing defect is defined for even order only")
     if not 1 <= j <= spec.k - 1:
         raise ValueError("j must lie in 1..%d, got %d" % (spec.k - 1, j))
@@ -481,7 +471,7 @@ def eigenvalue_estimates(k: int, j: int) -> tuple[float, float, float]:
     k = _check_k(k)
     if not 1 <= j <= k - 1:
         raise ValueError("j must lie in 1..%d, got %d" % (k - 1, j))
-    gamma = j * _bracket_step(k, "even")
+    gamma = bracket_poles(2 * k, j)[1]
     bound = 2.0 * math.pi * branch_positive_derivative(gamma) / (2 * k - 1)
     return branch_positive(gamma), branch_negative(gamma), bound
 
@@ -497,8 +487,9 @@ def closure_witness(
     error bound of eigenvalue_estimates drives the search.  The order is
     grown by doubling until the bound at the bracket containing y's angle
     drops below epsilon, then trimmed back to the smallest feasible k so
-    the witness order stays modest.  y = 0 and y = -1 return the trivial
-    witnesses (3, 0.0) and (2, -1.0).
+    the witness order stays modest.  parity "even" and "odd" fix the parity
+    of the order; "any" gives an even order.  y = 0 and y = -1 return the
+    trivial witnesses (3, 0.0) and (2, -1.0).
 
     Raises ValueError inside the open gap (its endpoints are limits of
     eigenvalues and get witnesses) and RuntimeError if no supported order
@@ -516,12 +507,11 @@ def closure_witness(
     if FORBIDDEN_LO < y < FORBIDDEN_HI:
         raise ValueError("no witness: %r lies inside the forbidden interval" % (y,))
     theta_prime = theta_of_lambda(y)
-    use_even = parity != "odd"
-    par = "even" if use_even else "odd"
+    odd = parity == "odd"
     positive = y > 0.0
 
     def feasible(k: int) -> tuple[bool, int]:
-        step = _bracket_step(k, par)
+        step = 2.0 * math.pi / (2 * k + odd - 1)
         j = int(theta_prime // step) + 1
         if j > k - 1:
             return False, j
@@ -540,7 +530,7 @@ def closure_witness(
                     hi_k = mid
                 else:
                     lo_k = mid
-            n = 2 * hi_k if use_even else 2 * hi_k + 1
+            n = 2 * hi_k + odd
             theta, _ = _bracket_root(
                 n, "positive" if positive else "negative", feasible(hi_k)[1]
             )

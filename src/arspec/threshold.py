@@ -212,24 +212,24 @@ def inertia_chunks(n: int, xs):
     first, so graphs that share those bits share their elimination.
     """
     x = np.asarray(xs, dtype=float)[:, None]
-    low = min(n - 2, _CHUNK_BITS)
     c, neg = _eliminate(np.zeros((len(x), 1)), np.zeros((len(x), 1), dtype=np.int8), x, 1.0)
-    for _ in range(low):
-        c, neg = _eliminate(c[:, None], neg[:, None], x[:, None], _BOTH)
-        c, neg = c.reshape(len(x), -1), neg.reshape(len(x), -1)
-    yield from _finish(c, neg, x, n - 2 - low, 0, 1 << low)
+    yield from _finish(c, neg, x, n - 2, 0, 1)
 
 
 def _finish(c, neg, x, i, m0, step):
-    """Pivot out vertices i down to 0 of a chunk whose vertices above i are
-    done, vertex i adding step to m when its bit is 1; yield (m0, counts)
-    per chunk."""
+    """Pivot out vertices i down to 0 of a batch whose vertices above i are
+    done, vertex i adding step to m when its bit is 1, and graph m0 + j in
+    column j; yield (m0, counts) per chunk.  Below 2^_CHUNK_BITS graphs the
+    batch doubles in place; from there it splits depth first."""
     if i == 0:
         c, neg = _eliminate(c, neg, x, 0.0)
         # a zero pivot's infinite or NaN shift lasts through vertex 0
         yield m0, np.where(np.isfinite(c), neg, -1)
         return
     c, neg = _eliminate(c[:, None], neg[:, None], x[:, None], _BOTH)
+    if step < 1 << _CHUNK_BITS:  # the batch holds step graphs, m0 .. m0 + step - 1
+        yield from _finish(c.reshape(len(x), -1), neg.reshape(len(x), -1), x, i - 1, m0, 2 * step)
+        return
     for b in (0, 1):
         yield from _finish(c[:, b], neg[:, b], x, i - 1, m0 + b * step, 2 * step)
 
@@ -319,9 +319,5 @@ def omega_scan(n: int, workers: int | None = None) -> ScanReport:
     )
 
 
-def extremal_scan(n: int, workers: int | None = None) -> ScanReport:
-    """Exhaustively locate the eigenvalues nearest the forbidden interval:
-    omega_scan's report, whose extremes_attained() tells whether the
-    anti-regular graph has both the smallest positive and the largest
-    nontrivial negative eigenvalue of the family."""
-    return omega_scan(n, workers)
+# the extremal statement is read off omega_scan's report (extremes_attained)
+extremal_scan = omega_scan

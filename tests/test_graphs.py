@@ -39,7 +39,7 @@ def test_adjacency_entry_rule():
 
 
 def test_adjacency_rejects_bad_sequences():
-    for bad in ((1, 0), (0,), (0, 2), ()):
+    for bad in ((1, 0), (0,), (0, 2), (), (0, 0.5, 1), "0011"):
         with pytest.raises(ValueError):
             adjacency_from_sequence(bad)
 

@@ -209,6 +209,8 @@ def test_quotient_rejects_inequitable_input():
         quotient_eigenvalues([[0.0, 1.0], [1.0, 0.0]], [1])
     with pytest.raises(ValueError):
         quotient_eigenvalues([[0.0, 1.0], [1.0, 0.0]], [1, 0])
+    with pytest.raises(ValueError):
+        quotient_eigenvalues([[0.0, 1.0], [1.0, 0.0]], [1.5, 1])
 
 
 def test_char_poly_at_eigenvalue_vanishes():

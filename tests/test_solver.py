@@ -184,6 +184,26 @@ def test_odd_ratio_pole_magnitude():
     assert abs(sine_ratio_odd(math.pi / 2 * (1.0 + 1e-12), 2)) > 1e10
 
 
+@pytest.mark.parametrize("k", [1, 2, 8, 10**6 + 3])
+def test_even_ratio_at_the_smallest_angle(k):
+    # half of 5e-324 rounds to 0, so it takes the theta = 0 value
+    assert sine_ratio_even(5e-324, k) == k / (2 * k - 1)
+
+
+def test_no_double_is_a_pole():
+    # the denominators are exactly 0 only where theta / 2 rounds to 0; next
+    # to a pole, and on the double nearest it, the ratios are finite
+    thetas = [0.0, 5e-324, 1e-323, math.pi]
+    for n in (4, 5, 16, 17, 2001, 2 * 10**6 + 6, 2 * 10**6 + 7):
+        for j in {1, n // 4, n // 2 - 1}:
+            pole = bracket_poles(n, j)[1]
+            thetas += [math.nextafter(pole, 0.0), pole, math.nextafter(pole, 4.0)]
+    for k in (1, 2, 8, 1000, 10**6 + 3):
+        for theta in thetas:
+            assert math.isfinite(sine_ratio_even(theta, k)), (theta, k)
+            assert math.isfinite(sine_ratio_odd(theta, k)), (theta, k)
+
+
 def test_odd_branch_ratio_endpoints():
     assert odd_ratio_positive(0.0) == pytest.approx(5.0 + math.sqrt(8.0), abs=1e-12)
     assert odd_ratio_negative(0.0) == pytest.approx(5.0 - math.sqrt(8.0), abs=1e-12)
@@ -227,6 +247,16 @@ def test_bracket_positions_odd():
     ivs = [bracket_poles(11, j) for j in range(1, 6)]
     assert [lo for lo, _ in ivs] == [j * math.pi / 5.0 for j in range(5)]
     assert [hi for _, hi in ivs] == [j * math.pi / 5.0 for j in range(1, 5)] + [math.pi]
+
+
+def test_pole_grid_matches_per_parity_steps():
+    # reference: the steps as once worked out per parity, 2 pi / (2k - 1)
+    # for even order 2k and pi / k for odd order 2k + 1
+    for n in range(3, 3001):
+        k = n // 2
+        step = math.pi / k if n % 2 else 2.0 * math.pi / (2 * k - 1)
+        want = [((j - 1) * step, j * step) for j in range(1, k)] + [((k - 1) * step, math.pi)]
+        assert [bracket_poles(n, j) for j in range(1, k + 1)] == want, n
 
 
 def test_bracket_degenerate_and_errors():
@@ -507,7 +537,7 @@ def test_symmetry_defect_under_bound():
     # twice the estimate bound is 4 pi branch_positive_derivative(gamma_j) / (2k - 1) exactly
     for k in (2, 8, 501, 10**6):
         for j in sorted({1, k // 2, k - 1}):
-            gamma = j * solver._bracket_step(k, "even")
+            gamma = bracket_poles(2 * k, j)[1]
             formula = 4.0 * math.pi * branch_positive_derivative(gamma) / (2 * k - 1)
             assert symmetry_defect_bound(k, j) == formula
 
