@@ -166,7 +166,11 @@ def cmd_verify(args) -> int:
         raise _UsageError("verify needs 2 <= --n-max <= 500, got %d" % args.n_max)
     _check_out(args)
     spectra = {n: solver.solve_spectrum(n) for n in range(2, args.n_max + 1)}
-    innermost = {k: solver.innermost_eigenvalues(k) for k in range(1, args.n_max // 2 + 1)}
+    # the innermost pair of order 2k is bracket 1 of both branches, solved above
+    innermost = {}
+    for k in range(1, args.n_max // 2 + 1):
+        spec = spectra[2 * k]
+        innermost[k] = (spec.positives[0], spec.negatives[0] if k > 1 else None)
     results = [
         checks.oracle_equivalence(spectra, 0.0 if args.tamper else 1e-8),
         checks.forbidden_interval(spectra),
@@ -292,7 +296,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("scan", help="exhaustive connected-threshold-graph scan")
-    p.add_argument("--n", type=int, required=True, help="graph order, 2..26")
+    p.add_argument("--n", type=int, required=True,
+                   help="graph order, 2..%d" % threshold.MAX_SCAN_ORDER)
     p.add_argument("--check", choices=("omega", "extremal", "both"), default="both")
     p.add_argument("--workers", type=int, default=None,
                    help="accepted and validated (>= 1); the scan is one"

@@ -36,7 +36,7 @@ from .graphs import (
 from .oracle import jacobi_eigenvalues, quotient_eigenvalues
 from .solver import FORBIDDEN_HI, FORBIDDEN_LO
 
-MAX_SCAN_ORDER = 26
+MAX_SCAN_ORDER = 30
 GAP_MARGIN = 1e-9  # violations must clear the interval endpoints by this much
 TRIVIAL_TOL = 1e-9  # distance from 0 / -1 below which an eigenvalue is trivial
 TIE_TOL = 1e-9  # extremal values this close count as attained
@@ -105,7 +105,8 @@ def enumerate_connected_threshold(n: int):
 
     The n - 2 middle bits run through all values most-significant first, so
     the stream is in lexicographic order; first and last bits are pinned to
-    0 and 1.  Capped at n = 26 (2^24 graphs) to keep exhaustive use sane.
+    0 and 1.  Capped at n = MAX_SCAN_ORDER (2^28 graphs at 30) to keep
+    exhaustive use sane.
     """
     if not 2 <= n <= MAX_SCAN_ORDER:
         raise ValueError("enumeration supports 2 <= n <= %d, got %d" % (MAX_SCAN_ORDER, n))

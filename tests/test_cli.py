@@ -176,7 +176,7 @@ def test_scan_csv(capsys):
 
 
 def test_scan_usage(capsys):
-    assert run(capsys, "scan", "--n", "30")[0] == EXIT_USAGE
+    assert run(capsys, "scan", "--n", "31")[0] == EXIT_USAGE
     assert run(capsys, "scan", "--n", "1")[0] == EXIT_USAGE
 
 
@@ -289,7 +289,7 @@ def test_out_unwritable_fails_before_the_work(monkeypatch, capsys):
     ("spectrum", "--n", "1"),
     ("spectrum", "--n", "3000", "--method", "dense"),
     ("verify", "--n-max", "501"),
-    ("scan", "--n", "30"),
+    ("scan", "--n", "31"),
     ("scan", "--n", "5", "--workers", "0"),
     ("figure-data", "--which", "theta", "--points", "5"),
 ])

@@ -23,6 +23,7 @@ from arspec.oracle import (
     jacobi_eigenvalues,
     quotient_eigenvalues,
 )
+from arspec.threshold import threshold_spectrum
 
 # Orders on each side of the switch from cyclic to round-robin sweeps; the
 # odd ones sweep with a pad row and column.
@@ -189,6 +190,32 @@ def test_rotations_are_counted(n):
     assert res.rotations > 0
 
 
+@pytest.mark.parametrize("n", [50, 70, 75])
+def test_threshold_graphs_converge_despite_repeated_eigenvalues(n):
+    # 0 and -1 repeat once per surplus vertex of a run; with every pair in
+    # those clusters rotated as soon as it was nonzero these took 15 to 18
+    # sweeps, and 8 to 11 with the cluster delay
+    rng = np.random.default_rng(20261019 + n)
+    for _ in range(3):
+        bits = (0, *rng.integers(0, 2, size=n - 2), 1)
+        res = jacobi_eigenvalues(adjacency_from_sequence(bits).astype(float))
+        assert res.sweeps <= 12
+        quotient = threshold_spectrum(bits, method="quotient")
+        assert res.eigenvalues == pytest.approx(quotient, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [5, 15, 16, 17, 64, 101])
+def test_cluster_delay_leaves_antiregular_spectra_alone(monkeypatch, n):
+    # no two eigenvalues of these matrices are within the delay cap, so no
+    # pair is ever delayed: the results are those of a sweep without the rule
+    a = antiregular_adjacency(n)
+    for m in (a.astype(float), laplacian(a).astype(float)):
+        got = jacobi_eigenvalues(m)
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "CLUSTER_CAP", 0.0)
+            assert jacobi_eigenvalues(m) == got
+
+
 def test_quotient_single_cell():
     res = quotient_eigenvalues([[4.0]], [7])
     assert res.eigenvalues == [4.0]
@@ -211,6 +238,9 @@ def test_quotient_rejects_inequitable_input():
         quotient_eigenvalues([[0.0, 1.0], [1.0, 0.0]], [1, 0])
     with pytest.raises(ValueError):
         quotient_eigenvalues([[0.0, 1.0], [1.0, 0.0]], [1.5, 1])
+    for size in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="cell sizes must be positive integers"):
+            quotient_eigenvalues([[0.0, 1.0], [1.0, 0.0]], [size, 1])
 
 
 def test_char_poly_at_eigenvalue_vanishes():
@@ -261,7 +291,7 @@ def test_complete_graph(n):
     assert res.eigenvalues == pytest.approx([-1.0] * (n - 1) + [n - 1.0], abs=1e-10)
 
 
-def _numpy_cyclic_sweep(a, thresh, zero_negligible):
+def _numpy_cyclic_sweep(a, thresh, delay, zero_negligible):
     """The cyclic sweep as numpy row updates, kept as the reference that the
     list sweep must match bit for bit."""
     n = a.shape[0]
@@ -273,12 +303,14 @@ def _numpy_cyclic_sweep(a, thresh, zero_negligible):
                 continue
             app = a[p, p]
             aqq = a[q, q]
+            diff = aqq - app
+            if abs(apq) <= delay and abs(diff) <= delay:
+                continue
             g = 100.0 * abs(apq)
             if zero_negligible and abs(app) + g == abs(app) and abs(aqq) + g == abs(aqq):
                 a[p, q] = 0.0
                 a[q, p] = 0.0
                 continue
-            diff = aqq - app
             if abs(diff) + g == abs(diff):
                 t = apq / diff
             else:

@@ -335,7 +335,10 @@ def test_single_bracket_entry_points_match_full_solve():
     spec = solve_spectrum(2 * k)
     lo, hi = bracket_poles(2 * k, k)
     assert last_bracket_ratio(k) == (spec.thetas_pos[-1] - lo) / (hi - lo)
-    assert innermost_eigenvalues(k) == (spec.positives[0], spec.negatives[0])
+    # verify reads the innermost pairs off the even-order spectra
+    for k in range(1, 31):
+        spec = solve_spectrum(2 * k)
+        assert innermost_eigenvalues(k) == (spec.positives[0], spec.negatives[0] if k > 1 else None)
     for target, parity in ((0.3, "any"), (-2.0, "even"), (0.4, "odd")):
         n, mu = closure_witness(target, 1e-2, parity)
         spec = solve_spectrum(n)

@@ -109,7 +109,7 @@ def test_enumeration_counts_and_order():
     with pytest.raises(ValueError):
         list(enumerate_connected_threshold(1))
     with pytest.raises(ValueError):
-        list(enumerate_connected_threshold(27))
+        list(enumerate_connected_threshold(31))
 
 
 def test_omega_scan_small_orders_clean():
@@ -168,7 +168,7 @@ def test_scan_rejects_out_of_range():
     with pytest.raises(ValueError):
         omega_scan(1)
     with pytest.raises(ValueError):
-        extremal_scan(27)
+        extremal_scan(31)
 
 
 def test_worker_resolution():
@@ -212,7 +212,7 @@ def _python_trivial_count(bits):
     return sum(a == b for a, b in zip(bits, bits[1:])) + (bits[:2] == (0, 1))
 
 
-@pytest.mark.parametrize("n", range(2, 27))
+@pytest.mark.parametrize("n", range(2, threshold.MAX_SCAN_ORDER + 1))
 def test_trivial_count_matches_bit_formula(n):
     # the bit formula of _trivial_count against a count along each sequence
     size = 1 << (n - 2)
