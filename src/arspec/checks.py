@@ -1,4 +1,6 @@
-"""The spectral checks shared by `arspec verify` and the acceptance tests.
+"""Every check of a spectral statement, shared by `arspec verify` and the
+acceptance tests: solver.py computes spectra, bounds and estimates, and
+the PASS/FAIL/SKIP decision is made here.
 
 Each check takes what its caller computed (spectra keyed by ascending
 order, innermost pairs keyed by ascending k, or a range of orders) and
@@ -10,6 +12,7 @@ these calls too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import graphs, oracle, solver
@@ -97,8 +100,10 @@ def pair_symmetry_bound(spectra) -> CheckResult:
         return CheckResult(name, SKIP, "needs an even order >= 4")
     worst = 0.0
     for n, spec, j in pairs:
-        defect = solver.symmetry_defect(spec, j)
-        bound = solver.symmetry_defect_bound(spec.k, j)
+        defect = abs(spec.positives[j - 1] + spec.negatives[j - 1] + 1.0)
+        # each paired root lies within the estimate bound of its branch value,
+        # and the two branch values sum to -1
+        bound = 2.0 * solver.eigenvalue_estimates(spec.k, j)[2]
         if defect > bound:
             return CheckResult(name, FAIL, "defect exceeds bound at n=%d j=%d" % (n, j))
         worst = max(worst, defect / bound)
@@ -122,6 +127,26 @@ def eigenvalue_estimate_bound(spectra) -> CheckResult:
             return CheckResult(name, FAIL, "negative estimate off at n=%d j=%d" % (n, j))
         worst = max(worst, dp / bound, dn / bound)
     return CheckResult(name, PASS, "%d estimates within bound" % len(pairs), worst)
+
+
+def extreme_bounds(spectra) -> CheckResult:
+    """lambda_max > n/2 and lambda_min above the negative branch at the last
+    pole (n - 2) pi / (n - 1), for every even order n >= 4."""
+    name = "extreme-bounds"
+    orders = [n for n in spectra if n % 2 == 0 and n >= 4]
+    if not orders:
+        return CheckResult(name, SKIP, "needs an even order >= 4")
+    for n in orders:
+        lam_max, max_bound = spectra[n].positives[-1], n / 2.0
+        if not lam_max > max_bound:
+            detail = "largest eigenvalue %r fails bound %r at n=%d" % (lam_max, max_bound, n)
+            return CheckResult(name, FAIL, detail)
+        lam_min = min(spectra[n].negatives)
+        min_bound = solver.branch_negative((n - 2.0) * math.pi / (n - 1.0))
+        if not lam_min > min_bound:
+            detail = "smallest eigenvalue %r fails bound %r at n=%d" % (lam_min, min_bound, n)
+            return CheckResult(name, FAIL, detail)
+    return CheckResult(name, PASS, "extreme bounds hold for even n=%s" % _span(orders))
 
 
 def laplacian_integer_spectrum(orders, tol: float) -> CheckResult:

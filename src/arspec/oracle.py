@@ -40,6 +40,7 @@ eigenvalue gaps stay at least 9 times the cap up to order 2000 (see
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -375,7 +376,8 @@ def quotient_eigenvalues(m, cell_sizes) -> EigenResult:
         raise ValueError(
             "got %d cell sizes for order %d" % (len(sizes), a.shape[0])
         )
-    if any(not math.isfinite(s) or s != int(s) or s < 1 for s in sizes):
+    # the float range first: int(inf) raises and float(10**400) overflows
+    if any(not 1 <= s <= sys.float_info.max or s != int(s) for s in sizes):
         raise ValueError("cell sizes must be positive integers")
     d = np.sqrt(np.asarray(sizes, dtype=float))
     sym = a * d[:, None] / d[None, :]

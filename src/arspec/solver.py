@@ -80,14 +80,27 @@ def bracket_poles(n: int, j: int) -> tuple[float, float]:
     is 2 pi / (n - 1) at both parities: 2 pi / (2k - 1) for even order 2k,
     and for odd order 2k + 1 the double 2 pi / (2k), which equals pi / k.
     """
-    n, j = int(n), int(j)
-    if n < 2:
-        raise ValueError("anti-regular graphs need n >= 2, got %d" % n)
+    n = _checked_int("n", n, 2)
     k = n // 2
-    if not 1 <= j <= k:
-        raise ValueError("bracket index must lie in 1..%d, got %d" % (k, j))
+    j = _checked_int("bracket index j", j, 1, k)
     step = 2.0 * math.pi / (n - 1)
     return (j - 1) * step, (j * step if j < k else math.pi)
+
+
+def _checked_int(name: str, value, lo: int, hi: float = math.inf) -> int:
+    """value as an int in lo..hi, else ValueError: 7.9, "8", inf and nan are
+    refused, not truncated, parsed or let through; 8.0 and numpy integers pass."""
+    if type(value) is not int:  # ints skip this; bracket_poles runs once per root
+        try:
+            whole = int(value)
+        except (TypeError, ValueError, OverflowError):
+            whole = None
+        if whole is None or whole != value:
+            raise ValueError("%s must be an integer, got %r" % (name, value))
+        value = whole
+    if not lo <= value <= hi:
+        raise ValueError("%s must lie in %d..%s, got %d" % (name, lo, hi, value))
+    return value
 
 
 def theta_of_lambda(lam: float) -> float:
@@ -186,7 +199,7 @@ def sine_ratio_even(theta: float, k: int) -> float:
     never exactly 0 once t / 2 is nonzero, so next to a pole the ratio is
     large but finite.
     """
-    k = _check_k(k)
+    k = _checked_int("k", k, 1)
     if not 0.0 <= theta <= math.pi:
         raise ValueError("theta must lie in [0, pi], got %r" % (theta,))
     return _ratio_even(theta, k)
@@ -209,7 +222,7 @@ def sine_ratio_odd(theta: float, k: int) -> float:
     sine of a nonzero double is never exactly 0, so next to a pole the ratio
     is large but finite.
     """
-    k = _check_k(k)
+    k = _checked_int("k", k, 1)
     if not 0.0 <= theta <= math.pi:
         raise ValueError("theta must lie in [0, pi], got %r" % (theta,))
     return _ratio_odd(theta, k)
@@ -237,13 +250,6 @@ def odd_ratio_negative(theta: float) -> float:
         raise ValueError("theta must lie in [0, pi], got %r" % (theta,))
     c1 = _cos_plus_one(theta)
     return 3.0 * c1 - 1.0 - math.sqrt(c1 * (c1 + 2.0))
-
-
-def _check_k(k) -> int:
-    k = int(k)
-    if k < 1:
-        raise ValueError("need k >= 1, got %d" % k)
-    return k
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +365,7 @@ def solve_spectrum(n: int) -> SpectrumResult:
     bracket index) if any bracket refuses to produce its root; this does
     not happen for any supported order.
     """
-    n = int(n)
-    if n < 2:
-        raise ValueError("anti-regular graphs need n >= 2, got %d" % n)
+    n = _checked_int("n", n, 2)
     pos = [_bracket_root(n, "positive", j) for j in range(1, n // 2 + 1)]
     neg = [_bracket_root(n, "negative", j) for j in range(1, (n - 1) // 2 + 1)]
     return SpectrumResult(
@@ -374,40 +378,13 @@ def solve_spectrum(n: int) -> SpectrumResult:
 
 
 # ---------------------------------------------------------------------------
-# verification helpers
+# the gap predicate, single brackets, estimates and witnesses
 
 
 def forbidden_interval_check(spec: SpectrumResult) -> bool:
     """True iff every nontrivial eigenvalue clears the open forbidden interval."""
     return not (any(lam < FORBIDDEN_HI for lam in spec.positives)
                 or any(lam > FORBIDDEN_LO for lam in spec.negatives))
-
-
-def extreme_eigenvalue_bounds(spec: SpectrumResult) -> tuple[float, float]:
-    """Lower bounds (n/2 for lambda_max, branch value for lambda_min).
-
-    Only the even orders n >= 4 satisfy the statement; n = 2 and odd orders
-    raise ValueError.  RuntimeError signals an actual bound violation, which
-    would mean the solved spectrum is wrong.
-    """
-    if spec.n % 2:
-        raise ValueError("extreme bounds are stated for even order only")
-    if spec.n < 4:
-        raise ValueError("extreme bounds need n >= 4, got %d" % spec.n)
-    n = spec.n
-    max_bound = n / 2.0
-    min_bound = branch_negative((n - 2.0) * math.pi / (n - 1.0))
-    lam_max = spec.positives[-1]
-    lam_min = min(spec.negatives)
-    if not lam_max > max_bound:
-        raise RuntimeError(
-            "largest eigenvalue %r fails bound %r at n=%d" % (lam_max, max_bound, n)
-        )
-    if not lam_min > min_bound:
-        raise RuntimeError(
-            "smallest eigenvalue %r fails bound %r at n=%d" % (lam_min, min_bound, n)
-        )
-    return max_bound, min_bound
 
 
 def last_bracket_ratio(k: int) -> float:
@@ -417,9 +394,7 @@ def last_bracket_ratio(k: int) -> float:
     value drifts toward 1/2 as k grows.  Only the last bracket is solved,
     so large k stay cheap.
     """
-    k = int(k)
-    if k < 2:
-        raise ValueError("ratio needs k >= 2, got %d" % k)
+    k = _checked_int("k", k, 2)
     lo, hi = bracket_poles(2 * k, k)
     theta, _ = _bracket_root(2 * k, "positive", k)
     return (theta - lo) / (hi - lo)
@@ -433,31 +408,11 @@ def innermost_eigenvalues(k: int) -> tuple[float, float | None]:
     negative one increases toward the other.  k = 1 has no negative-branch
     root, reported as None.
     """
-    k = _check_k(k)
+    k = _checked_int("k", k, 1)
     lam_pos = branch_positive(_bracket_root(2 * k, "positive", 1)[0])
     if k == 1:
         return lam_pos, None
     return lam_pos, branch_negative(_bracket_root(2 * k, "negative", 1)[0])
-
-
-def symmetry_defect(spec: SpectrumResult, j: int) -> float:
-    """|lambda_plus_j + lambda_minus_j + 1| for an even-order spectrum.
-
-    The branch curves sum to -1 exactly; paired roots sit at slightly
-    different angles, so the defect is small but nonzero.  Valid for
-    j = 1..k-1.
-    """
-    if spec.n % 2:
-        raise ValueError("pairing defect is defined for even order only")
-    if not 1 <= j <= spec.k - 1:
-        raise ValueError("j must lie in 1..%d, got %d" % (spec.k - 1, j))
-    return abs(spec.positives[j - 1] + spec.negatives[j - 1] + 1.0)
-
-
-def symmetry_defect_bound(k: int, j: int) -> float:
-    """Twice the error bound of eigenvalue_estimates(k, j): each of the two
-    paired roots lies within it of its branch value, which sum to -1."""
-    return 2.0 * eigenvalue_estimates(k, j)[2]
 
 
 def eigenvalue_estimates(k: int, j: int) -> tuple[float, float, float]:
@@ -468,9 +423,8 @@ def eigenvalue_estimates(k: int, j: int) -> tuple[float, float, float]:
     2 pi branch_positive_derivative(gamma_j) / (2k - 1) of the true root.
     Doubling k roughly halves the bound at fixed gamma.
     """
-    k = _check_k(k)
-    if not 1 <= j <= k - 1:
-        raise ValueError("j must lie in 1..%d, got %d" % (k - 1, j))
+    k = _checked_int("k", k, 1)
+    j = _checked_int("j", j, 1, k - 1)
     gamma = bracket_poles(2 * k, j)[1]
     bound = 2.0 * math.pi * branch_positive_derivative(gamma) / (2 * k - 1)
     return branch_positive(gamma), branch_negative(gamma), bound

@@ -27,7 +27,6 @@ from arspec.solver import (
     FORBIDDEN_LO,
     branch_positive,
     closure_witness,
-    extreme_eigenvalue_bounds,
     innermost_eigenvalues,
     last_bracket_ratio,
     solve_spectrum,
@@ -116,11 +115,8 @@ def test_criterion_07_eigenvalue_estimates(spectrum_1000):
 
 
 def test_criterion_08_extreme_bounds(spectra_500):
-    for n in range(4, 501, 2):
-        spec = spectra_500[n]
-        max_bound, min_bound = extreme_eigenvalue_bounds(spec)
-        assert spec.positives[-1] > max_bound
-        assert min(spec.negatives) > min_bound
+    result = checks.extreme_bounds({n: spectra_500[n] for n in range(4, 501, 2)})
+    assert result.status == checks.PASS, result.line()
     print("criterion 08 PASS: extreme eigenvalue bounds hold for even n=4..500")
 
 

@@ -1,15 +1,17 @@
 """Negative controls for the check registry: fed one corrupted input, each
 check must FAIL and name the order or index where the input went wrong."""
 
+import math
 from dataclasses import replace
 from functools import partial
 
 import pytest
 
 from arspec import checks, oracle
-from arspec.solver import innermost_eigenvalues, solve_spectrum
+from arspec.solver import branch_negative, innermost_eigenvalues, solve_spectrum
 
 SPECTRA = {n: solve_spectrum(n) for n in range(2, 13)}
+MIN_BOUND_10 = branch_negative(8.0 * math.pi / 9.0)  # lambda_min bound of order 10
 
 
 def corrupt(n, field, index, edit):  # SPECTRA with one entry of order n edited
@@ -39,10 +41,20 @@ def assert_fails(result, fragment):
          "positive estimate off at n=10 j=2"),
         (checks.eigenvalue_estimate_bound, 10, "negatives", 1, lambda v: v - 0.2,
          "negative estimate off at n=10 j=2"),
+        # each bound is strict: an eigenvalue exactly on it fails
+        (checks.extreme_bounds, 10, "positives", -1, lambda v: 5.0,
+         "largest eigenvalue 5.0 fails bound 5.0 at n=10"),
+        (checks.extreme_bounds, 10, "negatives", -1, lambda v: MIN_BOUND_10,  # smallest root
+         "smallest eigenvalue %r fails bound %r at n=10" % (MIN_BOUND_10, MIN_BOUND_10)),
     ],
 )
 def test_check_fails_on_a_corrupted_spectrum(check, n, field, index, edit, fragment):
     assert_fails(check(corrupt(n, field, index, edit)), fragment)
+
+
+def test_extreme_bounds_skips_without_an_even_order_from_4():
+    result = checks.extreme_bounds({2: SPECTRA[2], 9: SPECTRA[9]})
+    assert result.status == checks.SKIP, result.line()
 
 
 def test_bracket_containment_catches_a_missing_root():

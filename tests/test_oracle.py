@@ -238,7 +238,7 @@ def test_quotient_rejects_inequitable_input():
         quotient_eigenvalues([[0.0, 1.0], [1.0, 0.0]], [1, 0])
     with pytest.raises(ValueError):
         quotient_eigenvalues([[0.0, 1.0], [1.0, 0.0]], [1.5, 1])
-    for size in (math.inf, math.nan):
+    for size in (math.inf, math.nan, 10**400):  # 10**400 is beyond the float range
         with pytest.raises(ValueError, match="cell sizes must be positive integers"):
             quotient_eigenvalues([[0.0, 1.0], [1.0, 0.0]], [size, 1])
 

@@ -5,11 +5,12 @@ import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from arspec.graphs import antiregular_adjacency
 from arspec.oracle import jacobi_eigenvalues
-from arspec import solver
+from arspec import checks, solver
 from arspec.solver import (
     FORBIDDEN_HI,
     FORBIDDEN_LO,
@@ -21,7 +22,6 @@ from arspec.solver import (
     branch_positive_derivative,
     closure_witness,
     eigenvalue_estimates,
-    extreme_eigenvalue_bounds,
     forbidden_interval_check,
     innermost_eigenvalues,
     last_bracket_ratio,
@@ -30,8 +30,6 @@ from arspec.solver import (
     sine_ratio_even,
     sine_ratio_odd,
     solve_spectrum,
-    symmetry_defect,
-    symmetry_defect_bound,
     theta_of_lambda,
 )
 
@@ -322,6 +320,31 @@ def test_solve_spectrum_validation():
         solve_spectrum(1)
 
 
+# every entry point that takes an order n, a half order k or a bracket index j
+INTEGER_ARGUMENTS = {
+    "bracket_poles n": lambda v: bracket_poles(v, 1),
+    "bracket_poles j": lambda v: bracket_poles(16, v),
+    "solve_spectrum": solve_spectrum,
+    "sine_ratio_even": lambda v: sine_ratio_even(1.0, v),
+    "sine_ratio_odd": lambda v: sine_ratio_odd(1.0, v),
+    "innermost_eigenvalues": innermost_eigenvalues,
+    "eigenvalue_estimates k": lambda v: eigenvalue_estimates(v, 1),
+    "eigenvalue_estimates j": lambda v: eigenvalue_estimates(16, v),
+    "last_bracket_ratio": last_bracket_ratio,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(INTEGER_ARGUMENTS))
+def test_integer_arguments_are_not_truncated(entry):
+    fn = INTEGER_ARGUMENTS[entry]
+    want = repr(fn(8))
+    for value in (8.0, np.int64(8)):
+        assert repr(fn(value)) == want
+    for value in (7.9, 8.5, "8", math.inf, math.nan):
+        with pytest.raises(ValueError):
+            fn(value)
+
+
 def test_bracket_error_carries_index(monkeypatch):
     # a curve above every ratio value leaves bracket 5 without a sign change
     monkeypatch.setattr(solver, "odd_ratio_positive", lambda theta: math.inf)
@@ -477,18 +500,10 @@ def test_forbidden_interval_margins():
 
 def test_extreme_bounds_even():
     spec = solve_spectrum(8)
-    max_bound, min_bound = extreme_eigenvalue_bounds(spec)
-    assert max_bound == 4.0
-    assert min_bound == pytest.approx(branch_negative(6.0 * math.pi / 7.0), abs=1e-15)
-    assert spec.positives[-1] > max_bound
-    assert min(spec.negatives) > min_bound
-
-
-def test_extreme_bounds_rejects_odd_and_tiny():
-    with pytest.raises(ValueError):
-        extreme_eigenvalue_bounds(solve_spectrum(9))
-    with pytest.raises(ValueError):
-        extreme_eigenvalue_bounds(solve_spectrum(2))
+    assert spec.positives[-1] > 4.0
+    assert min(spec.negatives) > branch_negative(6.0 * math.pi / 7.0)
+    result = checks.extreme_bounds({8: spec})
+    assert result.status == checks.PASS, result.line()
 
 
 def test_last_bracket_ratio_reference_row():
@@ -527,22 +542,8 @@ def test_innermost_matches_full_solve():
 
 
 def test_symmetry_defect_under_bound():
-    spec = solve_spectrum(16)
-    for j in range(1, 8):
-        defect = symmetry_defect(spec, j)
-        assert defect <= symmetry_defect_bound(8, j)
-    with pytest.raises(ValueError):
-        symmetry_defect(spec, 8)
-    with pytest.raises(ValueError):
-        symmetry_defect(solve_spectrum(9), 1)
-    with pytest.raises(ValueError):
-        symmetry_defect_bound(8, 0)
-    # twice the estimate bound is 4 pi branch_positive_derivative(gamma_j) / (2k - 1) exactly
-    for k in (2, 8, 501, 10**6):
-        for j in sorted({1, k // 2, k - 1}):
-            gamma = bracket_poles(2 * k, j)[1]
-            formula = 4.0 * math.pi * branch_positive_derivative(gamma) / (2 * k - 1)
-            assert symmetry_defect_bound(k, j) == formula
+    result = checks.pair_symmetry_bound({16: solve_spectrum(16)})
+    assert result.status == checks.PASS and result.worst <= 1.0, result.line()
 
 
 def test_estimates_bound_and_halving():
@@ -555,6 +556,12 @@ def test_estimates_bound_and_halving():
     _, _, b1 = eigenvalue_estimates(8, 4)
     _, _, b2 = eigenvalue_estimates(16, 8)
     assert b2 < 0.6 * b1
+    # the bound is 2 pi branch_positive_derivative(gamma_j) / (2k - 1) exactly
+    for k in (2, 8, 501, 10**6):
+        for j in sorted({1, k // 2, k - 1}):
+            gamma = bracket_poles(2 * k, j)[1]
+            formula = 2.0 * math.pi * branch_positive_derivative(gamma) / (2 * k - 1)
+            assert eigenvalue_estimates(k, j)[2] == formula
     with pytest.raises(ValueError):
         eigenvalue_estimates(8, 8)
 
