@@ -237,7 +237,7 @@ def _figure_curves(k: int, points: int, parity: str) -> str:
     poles = [solver.bracket_poles(n, j)[1] for j in range(1, k)]
     next_pole = 0
     for i in range(points):
-        theta = min(math.pi * i / span, math.pi)  # pi * span / span can round above pi
+        theta = math.pi if i == span else math.pi * i / span  # pi * span / span can miss pi
         if next_pole < len(poles) and theta > poles[next_pole]:
             rows.append("")
             next_pole += 1

@@ -39,7 +39,7 @@ from .solver import FORBIDDEN_HI, FORBIDDEN_LO
 MAX_SCAN_ORDER = 30
 GAP_MARGIN = 1e-9  # violations must clear the interval endpoints by this much
 TRIVIAL_TOL = 1e-9  # distance from 0 / -1 below which an eigenvalue is trivial
-TIE_TOL = 1e-9  # extremal values this close count as attained
+TIE_TOL = 1e-9  # a scan names the first graph this close to a family extreme
 
 
 def run_length_encode(bits) -> tuple[tuple[int, int], ...]:
@@ -94,9 +94,6 @@ def threshold_spectrum(bits, method: str = "quotient") -> list[float]:
     eigs = list(quotient_eigenvalues(matrix, sizes).eigenvalues)
     eigs.extend([0.0] * sum(s - 1 for s, _ in runs))
     eigs.extend([-1.0] * sum(t - 1 for _, t in runs))
-    if len(eigs) != len(b):
-        raise RuntimeError("quotient bookkeeping produced %d eigenvalues for n=%d"
-                           % (len(eigs), len(b)))
     return sorted(eigs)
 
 
@@ -244,31 +241,15 @@ def _trivial_count(n: int, m) -> np.ndarray:
     return n - 1 - np.bitwise_count(s ^ (s >> 1)) + ((s >> (n - 2)) & 1)
 
 
-def _fold(dense, col: int, extreme, sign: float):
-    """Best (sequence, value) in column col of the dense rows, folded in
-    sequence order: a value replaces the best when sign * value improves by
-    more than TIE_TOL (sign 1 keeps the minimum, -1 the maximum).
-
-    Graphs left out lie more than 2.5 TIE_TOL beyond the anti-regular
-    extreme.  Given a level L at most 1.5 TIE_TOL beyond it with no value in
-    (L, L + TIE_TOL], values up to L replace any best beyond L + TIE_TOL and
-    are never replaced by one, so this fold has the winner of the fold over
-    every graph.  Without such a gap it raises RuntimeError."""
-    best = None
-    near = []
-    for row in dense:
-        v = row[col]
-        if v is not None:
-            if best is None or sign * v < sign * best[1] - TIE_TOL:
-                best = (row[0], v)
-            if extreme is not None and 0 <= sign * (v - extreme) <= 3 * TIE_TOL:
-                near.append(sign * (v - extreme))
-    if extreme is not None and not any(
-        lvl <= 1.5 * TIE_TOL and not any(lvl < w <= lvl + TIE_TOL for w in near)
-        for lvl in near
-    ):
-        raise RuntimeError("no TIE_TOL gap next to the anti-regular extreme %r" % extreme)
-    return best
+def _fold(dense, col: int, sign: float):
+    """The first (sequence, value) of column col of the dense rows, in
+    sequence order, whose value lies within TIE_TOL of the column's extreme
+    (sign 1 the minimum, -1 the maximum); None when the column is empty."""
+    values = [(row[0], row[col]) for row in dense if row[col] is not None]
+    if not values:
+        return None
+    extreme = sign * min(sign * v for _, v in values)
+    return next(p for p in values if sign * (p[1] - extreme) <= TIE_TOL)
 
 
 def omega_scan(n: int, workers: int | None = None) -> ScanReport:
@@ -285,6 +266,10 @@ def omega_scan(n: int, workers: int | None = None) -> ScanReport:
     window or within 3 TIE_TOL beyond an anti-regular extreme, or hit a zero
     pivot; each chunk of counts is flagged as it arrives, and the flagged
     graphs run in sequence order, the anti-regular row reused in its slot.
+    Each reported extreme is the first graph in sequence order within
+    TIE_TOL of the extreme over the family.  That extreme is at or beyond
+    the anti-regular one, so every graph the rule can name is flagged, and
+    the report equals the one over every graph.
     workers is validated only: the scan is one vectorised pass.
     """
     if not 2 <= n <= MAX_SCAN_ORDER:
@@ -306,15 +291,15 @@ def omega_scan(n: int, workers: int | None = None) -> ScanReport:
         # an undecided count differs from its edge, or the edge is undecided and flagged
         flagged |= (beyond_min != below_hi) | (beyond_max != below_lo)
         kept.append(m[flagged | (m == anti_m)])
-    # chunks arrive out of order, and _fold folds in sequence order
+    # chunks arrive out of order; the violations and the tie rule go in sequence order
     dense = [anti_row if m == anti_m else _dense_row(_creation_sequence(n, int(m)))
              for m in np.sort(np.concatenate(kept))]
     return ScanReport(
         n=n,
         graphs_scanned=1 << (n - 2),
         omega_violations=[(row[0], v) for row in dense for v in row[1]],
-        min_positive=_fold(dense, 2, anti_min, 1.0),
-        max_nontrivial_negative=_fold(dense, 3, anti_max, -1.0),
+        min_positive=_fold(dense, 2, 1.0),
+        max_nontrivial_negative=_fold(dense, 3, -1.0),
         antiregular_min_positive=anti_min,
         antiregular_max_negative=anti_max,
     )

@@ -220,17 +220,14 @@ def test_figure_odd_curves(capsys):
     assert lines[0] == "theta,sine_ratio,ratio_positive,ratio_negative"
     gaps = sum(1 for ln in lines[1:-1] if ln == "")
     assert gaps == 4
-    # the last sample pi * span / span rounds above pi at these counts, below it
-    # at others (12, 16, ...), where the row printed before the clamp is kept
-    above_pi = {14, 27, 48, 53, 84, 95, 100, 105, 167, 168, 178, 188, 189, 199, 209, 220}
+    # pi * span / span rounds above pi at some counts (14, 27, ...) and one ulp
+    # below it at others (12, 16, ...); the last sample is pi at every count
     for points in range(10, 301):
         k = 2 + points % 7  # the angles do not depend on k; this cycles k through 2..8
         argv = ("figure-data", "--which", "odd-curves", "--k", str(k), "--points", str(points))
         code, out, _ = run(capsys, *argv)
         assert code == EXIT_OK, argv
-        theta = float(out.split("\r\n")[-2].split(",")[0])
-        ends = (math.pi,) if points in above_pi else (math.pi, math.nextafter(math.pi, 0.0))
-        assert theta in ends, argv
+        assert float(out.split("\r\n")[-2].split(",")[0]) == math.pi, argv
 
 
 def test_density_verb_alias(capsys):
