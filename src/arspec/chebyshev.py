@@ -8,6 +8,8 @@ because the recurrence only uses ``+`` and ``*``.
 
 import math
 
+from .solver import _checked_int
+
 MAX_DEGREE = 10 ** 6
 
 
@@ -18,10 +20,7 @@ def chebyshev_u(m, x):
     exp(m arccosh|x|) outside, so the degree is capped at MAX_DEGREE to keep
     overflow and runtime predictable.
     """
-    if m < 0:
-        raise ValueError("degree must be nonnegative, got %r" % (m,))
-    if m > MAX_DEGREE:
-        raise ValueError("degree %d exceeds supported cap %d" % (m, MAX_DEGREE))
+    m = _checked_int("degree", m, 0, MAX_DEGREE)
     u_prev = 1.0 + 0.0 * x  # ones_like, works for scalars and arrays
     if m == 0:
         return u_prev
@@ -33,8 +32,7 @@ def chebyshev_u(m, x):
 
 def chebyshev_u_trig(m, theta):
     """U_m(cos theta) = sin((m+1) theta) / sin(theta), for theta in (0, pi)."""
-    if m < 0:
-        raise ValueError("degree must be nonnegative, got %r" % (m,))
+    m = _checked_int("degree", m, 0)
     if not 0.0 < theta < math.pi:
         raise ValueError("theta must lie strictly inside (0, pi), got %r" % (theta,))
     return math.sin((m + 1) * theta) / math.sin(theta)
@@ -42,8 +40,7 @@ def chebyshev_u_trig(m, theta):
 
 def chebyshev_u_roots(m):
     """Roots of U_m, cos(j pi / (m+1)) for j = 1..m, in descending order."""
-    if m < 1:
-        raise ValueError("root list needs degree >= 1, got %r" % (m,))
+    m = _checked_int("degree", m, 1)
     return [math.cos(j * math.pi / (m + 1)) for j in range(1, m + 1)]
 
 
@@ -53,6 +50,5 @@ def toeplitz_char_poly(m, t):
     Equals U_m(t/2); the matrix is the adjacency matrix of the path on m
     vertices, so its eigenvalues are 2 cos(j pi / (m+1)).
     """
-    if m < 1:
-        raise ValueError("matrix order must be >= 1, got %r" % (m,))
+    m = _checked_int("matrix order", m, 1)
     return chebyshev_u(m, 0.5 * t)

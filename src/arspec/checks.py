@@ -6,8 +6,9 @@ Each check takes what its caller computed (spectra keyed by ascending
 order, innermost pairs keyed by ascending k, or a range of orders) and
 returns a CheckResult; a FAIL names the order (and pair index j) at fault,
 oracle-equivalence its largest difference.  solver, oracle and graphs are
-looked up as module attributes at call time, so rebinding them reaches
-these calls too.
+looked up as module attributes at call time because perfbench/tracer.py
+wraps these calls by rebinding those attributes (tests rebind them too);
+ROADMAP item 6, counters on the results, retires that constraint.
 """
 
 from __future__ import annotations

@@ -16,9 +16,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import checks, graphs, oracle, solver, threshold
+from .solver import _checked_int
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
@@ -41,13 +43,9 @@ TABLE1_REFERENCE = {
 }
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _write_out(path: str, mode: str, text: str) -> None:
@@ -57,13 +55,14 @@ def _write_out(path: str, mode: str, text: str) -> None:
         with open(path, mode, newline="") as fh:
             fh.write(text)
     except OSError as exc:
-        raise _UsageError("cannot write --out %s: %s" % (path, exc.strerror or exc))
+        raise ValueError("cannot write --out %s: %s" % (path, exc.strerror or exc))
 
 
 def _check_out(args) -> None:
     """Fail fast when --out cannot be opened for writing.  Verbs call this
     after their own argument checks and before the costly work; append mode
-    leaves an existing file as it is until _emit replaces it."""
+    leaves an existing file as it is until _emit replaces it, and main
+    removes a file this creates when the work then fails."""
     if args.out:
         _write_out(args.out, "a", "")
 
@@ -84,12 +83,10 @@ def _index_csv(eigenvalues) -> str:
 
 
 def cmd_spectrum(args) -> int:
-    if args.n < 2:
-        raise _UsageError("spectrum needs --n >= 2, got %d" % args.n)
-    if args.method in ("dense", "both") and args.n > DENSE_MAX_ORDER:
-        raise _UsageError(
-            "dense oracle capped at n=%d, got %d" % (DENSE_MAX_ORDER, args.n)
-        )
+    if args.method == "cheb":
+        _checked_int("spectrum --n", args.n, 2)
+    else:  # the dense oracle is capped
+        _checked_int("spectrum --method %s --n" % args.method, args.n, 2, DENSE_MAX_ORDER)
     _check_out(args)
     result = dense = None
     if args.method in ("cheb", "both"):
@@ -162,8 +159,7 @@ def cmd_table1(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if not 2 <= args.n_max <= 500:
-        raise _UsageError("verify needs 2 <= --n-max <= 500, got %d" % args.n_max)
+    _checked_int("verify --n-max", args.n_max, 2, 500)
     _check_out(args)
     spectra = {n: solver.solve_spectrum(n) for n in range(2, args.n_max + 1)}
     # the innermost pair of order 2k is bracket 1 of both branches, solved above
@@ -185,12 +181,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    if not 2 <= args.n <= threshold.MAX_SCAN_ORDER:
-        raise _UsageError(
-            "scan supports 2 <= --n <= %d, got %d" % (threshold.MAX_SCAN_ORDER, args.n)
-        )
-    if args.workers is not None and args.workers < 1:
-        raise _UsageError("workers must be >= 1, got %d" % args.workers)
+    _checked_int("scan --n", args.n, 2, threshold.MAX_SCAN_ORDER)
+    if args.workers is not None:
+        _checked_int("scan --workers", args.workers, 1)
     _check_out(args)
     report = threshold.omega_scan(args.n, workers=args.workers)
     if args.format == "json":
@@ -247,10 +240,10 @@ def _figure_curves(k: int, points: int, parity: str) -> str:
 
 def cmd_figure_data(args) -> int:
     # theta reads only --points and density only --k
-    if args.which != "theta" and args.k < 2:
-        raise _UsageError("%s needs --k >= 2, got %d" % (args.verb, args.k))
-    if args.which != "density" and args.points < 10:
-        raise _UsageError("figure-data needs --points >= 10, got %d" % args.points)
+    if args.which != "theta":
+        _checked_int("%s --k" % args.verb, args.k, 2)
+    if args.which != "density":
+        _checked_int("figure-data --points", args.points, 10)
     _check_out(args)
     if args.which == "theta":
         text = _figure_theta(args.points)
@@ -284,7 +277,7 @@ def build_parser() -> _Parser:
         type=int,
         default=50,
         help="largest order checked, 2..500 (the oracle pass is cubic per order;"
-        " 500 takes tens of minutes)",
+        " 500 took 26 minutes on 2 cores)",
     )
     p.add_argument(
         "--tamper",
@@ -328,11 +321,16 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except (_UsageError, ValueError) as exc:
+        args = build_parser().parse_args(argv)
+        created = args.out and not os.path.lexists(args.out)
+        try:
+            return args.func(args)
+        except BaseException:
+            if created and os.path.lexists(args.out):  # made by _check_out
+                os.remove(args.out)
+            raise
+    except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
 

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from .solver import _checked_int
+
 
 def _check_sequence(bits) -> tuple[int, ...]:
     b = tuple(bits)
-    if len(b) < 2:
-        raise ValueError("creation sequence needs length >= 2, got %d" % len(b))
+    _checked_int("creation sequence length", len(b), 2)
     # each value as given, so 0.5 or the digit "1" is refused, not truncated
     if any(x not in (0, 1) for x in b):
         raise ValueError("creation sequence bits must be 0 or 1")
@@ -46,8 +47,7 @@ def _check_adjacency(a) -> np.ndarray:
 
 def antiregular_sequence(n: int) -> tuple[int, ...]:
     """Creation sequence of the connected anti-regular graph on n vertices."""
-    if n < 2:
-        raise ValueError("anti-regular graphs need n >= 2, got %d" % n)
+    n = _checked_int("n", n, 2)
     if n % 2 == 0:
         return (0, 1) * (n // 2)
     return (0, 0, 1) + (0, 1) * (n // 2 - 1)
@@ -76,8 +76,7 @@ def laplacian(a) -> np.ndarray:
 
 def path_adjacency(m: int) -> np.ndarray:
     """Adjacency matrix of the path on m vertices (0/1 tridiagonal Toeplitz)."""
-    if m < 1:
-        raise ValueError("path needs at least one vertex, got %d" % m)
+    m = _checked_int("m", m, 1)
     a = np.zeros((m, m), dtype=np.int64)
     for i in range(m - 1):
         a[i, i + 1] = 1
@@ -94,8 +93,9 @@ def block_permutation(n: int) -> tuple[int, ...]:
     the independent set into the first k slots (by decreasing degree) and the
     clique into the last k (by increasing degree).
     """
-    if n < 2 or n % 2:
-        raise ValueError("block form exists for even n >= 2 only, got %d" % n)
+    n = _checked_int("n", n, 2)
+    if n % 2:
+        raise ValueError("block form exists for even n only, got %d" % n)
     k = n // 2
     images = []
     for v in range(1, n + 1):
@@ -115,7 +115,7 @@ def apply_permutation(a, images) -> np.ndarray:
     """
     a = np.asarray(a)
     n = a.shape[0]
-    img = [int(x) - 1 for x in images]
+    img = [_checked_int("image", x, 1, n) - 1 for x in images]
     if sorted(img) != list(range(n)):
         raise ValueError("images must be a permutation of 1..%d" % n)
     out = np.empty_like(a)
@@ -129,8 +129,7 @@ def block_adjacency(k: int) -> np.ndarray:
     Layout [[0, B], [B, J - I]] with B[i, j] = 1 iff i + j >= k - 1
     (0-based), i.e. ones on and below the anti-diagonal.
     """
-    if k < 1:
-        raise ValueError("block form needs k >= 1, got %d" % k)
+    k = _checked_int("k", k, 1)
     i = np.arange(k)
     b = (np.add.outer(i, i) >= k - 1).astype(np.int64)
     z = np.zeros((k, k), dtype=np.int64)
@@ -146,8 +145,7 @@ def inverse_block_adjacency(k: int) -> np.ndarray:
     diagonal.  The product with block_adjacency(k) is the identity in exact
     integer arithmetic.
     """
-    if k < 1:
-        raise ValueError("block form needs k >= 1, got %d" % k)
+    k = _checked_int("k", k, 1)
     i = np.arange(k)
     s = np.add.outer(i, i)
     w = np.where(s == k - 1, 1, np.where(s == k - 2, -1, 0)).astype(np.int64)

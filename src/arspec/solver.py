@@ -89,7 +89,8 @@ def bracket_poles(n: int, j: int) -> tuple[float, float]:
 
 def _checked_int(name: str, value, lo: int, hi: float = math.inf) -> int:
     """value as an int in lo..hi, else ValueError: 7.9, "8", inf and nan are
-    refused, not truncated, parsed or let through; 8.0 and numpy integers pass."""
+    refused, not truncated, parsed or let through; 8.0 and numpy integers pass.
+    Every integer argument of the package is checked here."""
     if type(value) is not int:  # ints skip this; bracket_poles runs once per root
         try:
             whole = int(value)
@@ -99,7 +100,8 @@ def _checked_int(name: str, value, lo: int, hi: float = math.inf) -> int:
             raise ValueError("%s must be an integer, got %r" % (name, value))
         value = whole
     if not lo <= value <= hi:
-        raise ValueError("%s must lie in %d..%s, got %d" % (name, lo, hi, value))
+        bound = "be >= %d" % lo if hi == math.inf else "lie in %d..%d" % (lo, hi)
+        raise ValueError("%s must %s, got %d" % (name, bound, value))
     return value
 
 
@@ -274,7 +276,9 @@ def _bracket_root(n: int, branch: str, j: int) -> tuple[float, float]:
     bracket (no bracket took more than 54 evaluations, at orders up to
     10^5 + 1 or k up to 2^23 + 1).  An end that never moved means no sign
     change and raises BracketRootError.  The curves are looked up when the
-    call runs, so rebinding them reaches every evaluation.
+    call runs because perfbench/tracer.py rebinds them to count evaluations
+    for solver.fn_evals (a test rebinds one to force that error); ROADMAP
+    item 6, counters on the results, retires the lookup.
     """
     k, odd = n // 2, n % 2 == 1
     a, b = bracket_poles(n, j)

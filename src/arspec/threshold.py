@@ -34,7 +34,7 @@ from .graphs import (
     sequence_to_string,
 )
 from .oracle import jacobi_eigenvalues, quotient_eigenvalues
-from .solver import FORBIDDEN_HI, FORBIDDEN_LO
+from .solver import FORBIDDEN_HI, FORBIDDEN_LO, _checked_int
 
 MAX_SCAN_ORDER = 30
 GAP_MARGIN = 1e-9  # violations must clear the interval endpoints by this much
@@ -69,8 +69,8 @@ def quotient_matrix(runs) -> tuple[np.ndarray, list[int]]:
     pattern = adjacency_from_sequence(antiregular_sequence(2 * k)).astype(float)
     sizes: list[int] = []
     for i, (s, t) in enumerate(runs):
-        pattern[2 * i + 1, 2 * i + 1] += 1.0 - 1.0 / t
-        sizes.extend([s, t])
+        sizes.extend([_checked_int("run length", s, 1), _checked_int("run length", t, 1)])
+        pattern[2 * i + 1, 2 * i + 1] += 1.0 - 1.0 / sizes[-1]
     return pattern * np.asarray(sizes, dtype=float)[None, :], sizes
 
 
@@ -105,8 +105,7 @@ def enumerate_connected_threshold(n: int):
     0 and 1.  Capped at n = MAX_SCAN_ORDER (2^28 graphs at 30) to keep
     exhaustive use sane.
     """
-    if not 2 <= n <= MAX_SCAN_ORDER:
-        raise ValueError("enumeration supports 2 <= n <= %d, got %d" % (MAX_SCAN_ORDER, n))
+    n = _checked_int("n", n, 2, MAX_SCAN_ORDER)
     for m in range(1 << (n - 2)):
         yield _creation_sequence(n, m)
 
@@ -270,12 +269,12 @@ def omega_scan(n: int, workers: int | None = None) -> ScanReport:
     TIE_TOL of the extreme over the family.  That extreme is at or beyond
     the anti-regular one, so every graph the rule can name is flagged, and
     the report equals the one over every graph.
-    workers is validated only: the scan is one vectorised pass.
+    workers is only checked, the scan being one vectorised pass; it stays
+    while perfbench/workloads.py passes workers= (until ROADMAP item 1).
     """
-    if not 2 <= n <= MAX_SCAN_ORDER:
-        raise ValueError("scan supports 2 <= n <= %d, got %d" % (MAX_SCAN_ORDER, n))
-    if workers is not None and workers < 1:
-        raise ValueError("workers must be >= 1, got %d" % workers)
+    n = _checked_int("n", n, 2, MAX_SCAN_ORDER)
+    if workers is not None:
+        _checked_int("workers", workers, 1)
     anti = antiregular_sequence(n)
     anti_m = int("".join(map(str, anti[:-1])), 2)
     anti_row = _dense_row(anti)
@@ -305,5 +304,6 @@ def omega_scan(n: int, workers: int | None = None) -> ScanReport:
     )
 
 
-# the extremal statement is read off omega_scan's report (extremes_attained)
+# kept because perfbench/tracer.py wraps this name, until it reads result
+# counters (ROADMAP item 6); the extremal statement is omega_scan's report
 extremal_scan = omega_scan

@@ -245,7 +245,7 @@ def test_figure_usage_errors(capsys):
     assert run(capsys, "figure-data", "--which", "odd-curves", "--k", "1")[0] == EXIT_USAGE
     assert run(capsys, "figure-data", "--which", "even-curves", "--points", "9")[0] == EXIT_USAGE
     assert run(capsys, "density", "--k", "1") == (
-        EXIT_USAGE, "", "error: density needs --k >= 2, got 1\n")
+        EXIT_USAGE, "", "error: density --k must be >= 2, got 1\n")
 
 
 def test_figure_options_are_checked_only_where_read(capsys):
@@ -320,4 +320,19 @@ def test_failed_work_leaves_out_alone(tmp_path, monkeypatch, capsys):
     kept = tmp_path / "kept.txt"
     kept.write_text("earlier output\n")
     assert run(capsys, "spectrum", "--n", "8", "--out", str(kept))[0] == EXIT_USAGE
+    assert kept.read_text() == "earlier output\n"
+    # a file the run created to check --out goes when the work fails
+    fresh = tmp_path / "fresh.txt"
+    assert run(capsys, "spectrum", "--n", "8", "--out", str(fresh))[0] == EXIT_USAGE
+    assert not fresh.exists()
+
+    def interrupted(n):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(solver, "solve_spectrum", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["spectrum", "--n", "8", "--out", str(fresh)])
+    assert not fresh.exists()
+    with pytest.raises(KeyboardInterrupt):
+        main(["spectrum", "--n", "8", "--out", str(kept)])
     assert kept.read_text() == "earlier output\n"

@@ -102,6 +102,9 @@ def test_apply_permutation_validates_images():
     a = antiregular_adjacency(4)
     with pytest.raises(ValueError):
         apply_permutation(a, (1, 2, 3, 3))
+    # an image is refused, not truncated to 1
+    with pytest.raises(ValueError, match="image must be an integer, got 1.7"):
+        apply_permutation(a, (1.7, 2, 3, 4))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 10, 40])

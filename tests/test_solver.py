@@ -8,9 +8,19 @@ import mpmath
 import numpy as np
 import pytest
 
-from arspec.graphs import antiregular_adjacency
-from arspec.oracle import jacobi_eigenvalues
 from arspec import checks, solver
+from arspec.chebyshev import chebyshev_u, chebyshev_u_roots, chebyshev_u_trig, toeplitz_char_poly
+from arspec.graphs import (
+    antiregular_adjacency,
+    antiregular_sequence,
+    apply_permutation,
+    block_adjacency,
+    block_permutation,
+    inverse_block_adjacency,
+    path_adjacency,
+)
+from arspec.oracle import jacobi_eigenvalues
+from arspec.threshold import enumerate_connected_threshold, omega_scan, quotient_matrix
 from arspec.solver import (
     FORBIDDEN_HI,
     FORBIDDEN_LO,
@@ -320,7 +330,9 @@ def test_solve_spectrum_validation():
         solve_spectrum(1)
 
 
-# every entry point that takes an order n, a half order k or a bracket index j
+# every entry point of the package that takes an integer: an order n, a half
+# order k, a bracket index j, a degree, a vertex image, a run length or a
+# worker count
 INTEGER_ARGUMENTS = {
     "bracket_poles n": lambda v: bracket_poles(v, 1),
     "bracket_poles j": lambda v: bracket_poles(16, v),
@@ -331,6 +343,22 @@ INTEGER_ARGUMENTS = {
     "eigenvalue_estimates k": lambda v: eigenvalue_estimates(v, 1),
     "eigenvalue_estimates j": lambda v: eigenvalue_estimates(16, v),
     "last_bracket_ratio": last_bracket_ratio,
+    "antiregular_sequence": antiregular_sequence,
+    "path_adjacency": path_adjacency,
+    "block_adjacency": block_adjacency,
+    "inverse_block_adjacency": inverse_block_adjacency,
+    "block_permutation": block_permutation,
+    "apply_permutation image": lambda v: apply_permutation(np.arange(64).reshape(8, 8),
+                                                           (v, 1, 2, 3, 4, 5, 6, 7)),
+    "chebyshev_u": lambda v: chebyshev_u(v, 0.3),
+    "chebyshev_u_trig": lambda v: chebyshev_u_trig(v, 1.0),
+    "chebyshev_u_roots": chebyshev_u_roots,
+    "toeplitz_char_poly": lambda v: toeplitz_char_poly(v, 0.5),
+    "enumerate_connected_threshold": lambda v: list(enumerate_connected_threshold(v)),
+    "omega_scan n": lambda v: omega_scan(v).to_json(),
+    "omega_scan workers": lambda v: omega_scan(5, workers=v).to_json(),
+    "quotient_matrix s": lambda v: quotient_matrix(((v, 1), (2, 3))),
+    "quotient_matrix t": lambda v: quotient_matrix(((1, v), (2, 3))),
 }
 
 

@@ -47,6 +47,12 @@ def test_quotient_matrix_two_cells():
     assert np.array_equal(matrix, np.array([[0.0, 2.0], [2.0, 1.0]]))
 
 
+def test_quotient_matrix_rejects_bad_run_lengths():
+    for runs in (((0, 2),), ((2, 0),), ((1, 2.5),), ((2.5, 1),)):
+        with pytest.raises(ValueError, match="run length must"):
+            quotient_matrix(runs)
+
+
 def test_quotient_matrix_odd_antiregular():
     # nine vertices: independent cell of size 2, all other cells singletons
     matrix, sizes = quotient_matrix(run_length_encode(antiregular_sequence(9)))
@@ -139,7 +145,7 @@ def test_scan_deterministic_and_parallel_agree():
     assert serial.to_json() == parallel.to_json()
 
 
-def test_cached_scan_reports_are_not_shared():
+def test_each_scan_call_returns_a_fresh_report():
     omega_scan(6).omega_violations.append(("x", 0.0))
     extremal_scan(6).min_positive = ("000001", 5.0)
     assert omega_scan(6).omega_violations == []
@@ -169,6 +175,11 @@ def test_scan_rejects_out_of_range():
         omega_scan(1)
     with pytest.raises(ValueError):
         extremal_scan(31)
+
+
+def test_numpy_order_gives_a_printable_report():
+    # the order comes back a Python int, so graphs_scanned serialises
+    assert omega_scan(np.int64(8)).to_json() == omega_scan(8).to_json()
 
 
 def test_worker_resolution():
