@@ -61,10 +61,13 @@ def _write_out(path: str, mode: str, text: str) -> None:
 def _check_out(args) -> None:
     """Fail fast when --out cannot be opened for writing.  Verbs call this
     after their own argument checks and before the costly work; append mode
-    leaves an existing file as it is until _emit replaces it, and main
-    removes a file this creates when the work then fails."""
+    leaves an existing file as it is until _emit replaces it, and a file the
+    probe creates is removed at once, so a run that fails leaves none."""
     if args.out:
+        fresh = not os.path.lexists(args.out)
         _write_out(args.out, "a", "")
+        if fresh:
+            os.remove(args.out)
 
 
 def _emit(args, text: str) -> None:
@@ -323,13 +326,7 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        created = args.out and not os.path.lexists(args.out)
-        try:
-            return args.func(args)
-        except BaseException:
-            if created and os.path.lexists(args.out):  # made by _check_out
-                os.remove(args.out)
-            raise
+        return args.func(args)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

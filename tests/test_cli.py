@@ -321,7 +321,7 @@ def test_failed_work_leaves_out_alone(tmp_path, monkeypatch, capsys):
     kept.write_text("earlier output\n")
     assert run(capsys, "spectrum", "--n", "8", "--out", str(kept))[0] == EXIT_USAGE
     assert kept.read_text() == "earlier output\n"
-    # a file the run created to check --out goes when the work fails
+    # nor does it leave a file at a fresh --out path
     fresh = tmp_path / "fresh.txt"
     assert run(capsys, "spectrum", "--n", "8", "--out", str(fresh))[0] == EXIT_USAGE
     assert not fresh.exists()
