@@ -230,13 +230,12 @@ def _figure_curves(k: int, points: int, parity: str) -> str:
     rows = ["theta,sine_ratio," + curves]
     span = points if even else points - 1  # even: stop short of pi, where the branches blow up
     n = 2 * k if even else 2 * k + 1
-    poles = [solver.bracket_poles(n, j)[1] for j in range(1, k)]
-    next_pole = 0
+    blanks = 0  # one blank row per pole passed, at most one per sample
     for i in range(points):
         theta = math.pi if i == span else math.pi * i / span  # pi * span / span can miss pi
-        if next_pole < len(poles) and theta > poles[next_pole]:
+        if blanks < k - 1 and theta > solver.bracket_poles(n, blanks + 1)[1]:
             rows.append("")
-            next_pole += 1
+            blanks += 1
         rows.append("%r,%r,%r,%r" % (theta, ratio(theta, k), upper(theta), lower(theta)))
     return _csv(rows)
 

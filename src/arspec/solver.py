@@ -29,6 +29,9 @@ bracket from that known sign, never evaluating an end, until the
 floating-point midpoint collides with an end, so the residual is limited
 only by evaluation noise.  No step cap is needed: each step moves an end to
 a double strictly inside the bracket, so fewer doubles remain every time.
+The residual is one function per parity, built from one cos(theta / 2) with
+the float operations of the public functions; the bisection looks it up at
+call time, so a test can inject a fault, and counts its evaluations.
 
 Everything is plain float arithmetic with two guards on sin(k theta),
 whose naive product loses about log2(k) bits of the angle: above pi/2 the
@@ -50,8 +53,9 @@ FORBIDDEN_HI = (math.sqrt(2.0) - 1.0) / 2.0
 # Largest sine multiplier evaluated as a plain float product.
 _DIRECT_MULT_LIMIT = 1_000_000
 
-# pi minus its double rounding math.pi.
+# pi minus its double rounding math.pi; half of math.pi, exact.
 _PI_LO = 1.2246467991473532e-16
+_HALF_PI = 0.5 * math.pi
 
 # floor(2 pi * 2^_TWO_PI_BITS), from 2 pi to 60 significant digits, for exact
 # integer argument reduction.
@@ -175,7 +179,7 @@ def _sin_mult(j: int, theta: float) -> float:
     # sin(j theta) = (-1)^(j+1) sin(j (pi - theta)), which keeps the low
     # bits of the angle as theta approaches pi.
     if j <= _DIRECT_MULT_LIMIT:
-        if theta <= 0.5 * math.pi:
+        if theta <= _HALF_PI:
             return math.sin(j * theta)
         s = math.sin(j * ((math.pi - theta) + _PI_LO))
         return s if j % 2 else -s
@@ -204,10 +208,6 @@ def sine_ratio_even(theta: float, k: int) -> float:
     k = _checked_int("k", k, 1)
     if not 0.0 <= theta <= math.pi:
         raise ValueError("theta must lie in [0, pi], got %r" % (theta,))
-    return _ratio_even(theta, k)
-
-
-def _ratio_even(theta: float, k: int) -> float:
     if 0.5 * theta == 0.0:  # theta = 0, or 5e-324, whose half rounds to 0
         return k / (2.0 * k - 1.0)
     if theta == math.pi:
@@ -227,10 +227,6 @@ def sine_ratio_odd(theta: float, k: int) -> float:
     k = _checked_int("k", k, 1)
     if not 0.0 <= theta <= math.pi:
         raise ValueError("theta must lie in [0, pi], got %r" % (theta,))
-    return _ratio_odd(theta, k)
-
-
-def _ratio_odd(theta: float, k: int) -> float:
     if theta == 0.0:
         return (k - 1.0) / k
     if theta == math.pi:
@@ -258,13 +254,38 @@ def odd_ratio_negative(theta: float) -> float:
 # root isolation
 
 
-def _bracket_root(n: int, branch: str, j: int) -> tuple[float, float]:
-    """(theta, |residual|) of the order-n root on ``branch`` in bracket j.
+def _even_residual(theta: float, k: int, sign: int) -> float:
+    # sine_ratio_even(theta, k) minus branch_positive (sign 1) or
+    # branch_negative (sign -1), for theta inside (0, pi): the same float
+    # operations in the same order as those calls, from one cos(theta / 2)
+    half = 0.5 * theta
+    c = math.cos(half)
+    c1 = 2.0 * c * c
+    curve = 0.5 * (sign * math.sqrt((c1 + 2.0) / c1) - 1.0)
+    if half == 0.0:  # theta = 5e-324
+        return k / (2.0 * k - 1.0) - curve
+    m = 2 * k - 1  # half <= pi/2: _sin_mult's direct product unless m is big
+    s = math.sin(m * half) if m <= _DIRECT_MULT_LIMIT else _sin_mult(m, half)
+    return _sin_mult(k, theta) / (2.0 * s * c) - curve
+
+
+def _odd_residual(theta: float, k: int, sign: int) -> float:
+    # sine_ratio_odd(theta, k) minus odd_ratio_positive (sign 1) or
+    # odd_ratio_negative (sign -1), for theta inside (0, pi), likewise
+    c = math.cos(0.5 * theta)
+    c1 = 2.0 * c * c
+    curve = 3.0 * c1 - 1.0 + sign * math.sqrt(c1 * (c1 + 2.0))
+    return _sin_mult(k - 1, theta) / _sin_mult(k, theta) - curve
+
+
+def _bracket_root(n: int, branch: str, j: int) -> tuple[float, float, int]:
+    """(theta, |residual|, evaluations) of the order-n root on ``branch`` in bracket j.
 
     branch is "positive" or "negative"; the eigenvalue is
     branch_positive(theta) or branch_negative(theta).  The residual is the
     sine ratio minus the branch curve (even n) or minus the branch image of
-    (2 - lambda^2) / (lambda (lambda + 1)) (odd n).  Next to the left end of
+    (2 - lambda^2) / (lambda (lambda + 1)) (odd n), one function per parity
+    built from one cos(theta / 2).  Next to the left end of
     bracket_poles(n, j) it is positive for even n (R(0) - B(0) > 0 in
     bracket 1, the ratio tends to +inf past each pole) and negative for odd
     n; next to the right end it has the other sign (the ratio tends to -inf
@@ -275,25 +296,21 @@ def _bracket_root(n: int, branch: str, j: int) -> tuple[float, float]:
     one of its ends, so each step leaves strictly fewer doubles inside the
     bracket (no bracket took more than 54 evaluations, at orders up to
     10^5 + 1 or k up to 2^23 + 1).  An end that never moved means no sign
-    change and raises BracketRootError.  The curves are looked up when the
-    call runs because perfbench/tracer.py rebinds them to count evaluations
-    for solver.fn_evals (a test rebinds one to force that error); ROADMAP
-    item 6, counters on the results, retires the lookup.
+    change and raises BracketRootError.  The residual is looked up when the
+    call runs, so a test can replace it to force that error.
     """
     k, odd = n // 2, n % 2 == 1
+    fn = _odd_residual if odd else _even_residual
+    sign = 1 if branch == "positive" else -1
     a, b = bracket_poles(n, j)
-    if odd:
-        curve = odd_ratio_positive if branch == "positive" else odd_ratio_negative
-        fn = lambda th: _ratio_odd(th, k) - curve(th)
-    else:
-        curve = branch_positive if branch == "positive" else branch_negative
-        fn = lambda th: _ratio_even(th, k) - curve(th)
     fa = fb = None
+    evals = 0
     mid = 0.5 * (a + b)
     while a < mid < b:
-        fm = fn(mid)
+        fm = fn(mid, k, sign)
+        evals += 1
         if fm == 0.0:
-            return mid, 0.0
+            return mid, 0.0, evals
         if (fm < 0.0) == odd:  # the sign next to the left end
             a, fa = mid, fm
         else:
@@ -301,7 +318,7 @@ def _bracket_root(n: int, branch: str, j: int) -> tuple[float, float]:
         mid = 0.5 * (a + b)
     if fa is None or fb is None:
         raise BracketRootError("no sign change in bracket %d of order %d" % (j, n), j)
-    return (a, abs(fa)) if abs(fa) <= abs(fb) else (b, abs(fb))
+    return (a, abs(fa), evals) if abs(fa) <= abs(fb) else (b, abs(fb), evals)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +333,9 @@ class SpectrumResult:
     interval and descends.  Both are in bracket order, paired with their
     angles and residuals index by index: entry i (0-based) lies in
     bracket_poles(n, i + 1).  ``residuals`` on the wire is the
-    concatenation positives-then-negatives.
+    concatenation positives-then-negatives.  ``evaluations`` counts the
+    residual evaluations over all brackets and ``most_evaluations`` the most
+    in one bracket; neither is part of the JSON or CSV.
     """
 
     n: int
@@ -327,6 +346,8 @@ class SpectrumResult:
     thetas_neg: list[float] = field(default_factory=list)
     residuals_pos: list[float] = field(default_factory=list)
     residuals_neg: list[float] = field(default_factory=list)
+    evaluations: int = 0
+    most_evaluations: int = 0
 
     @property
     def k(self) -> int:
@@ -374,10 +395,12 @@ def solve_spectrum(n: int) -> SpectrumResult:
     neg = [_bracket_root(n, "negative", j) for j in range(1, (n - 1) // 2 + 1)]
     return SpectrumResult(
         n=n, trivial=0.0 if n % 2 else -1.0,
-        positives=[branch_positive(theta) for theta, _ in pos],
-        negatives=[branch_negative(theta) for theta, _ in neg],
-        thetas_pos=[theta for theta, _ in pos], thetas_neg=[theta for theta, _ in neg],
-        residuals_pos=[r for _, r in pos], residuals_neg=[r for _, r in neg],
+        positives=[branch_positive(theta) for theta, _, _ in pos],
+        negatives=[branch_negative(theta) for theta, _, _ in neg],
+        thetas_pos=[theta for theta, _, _ in pos], thetas_neg=[theta for theta, _, _ in neg],
+        residuals_pos=[r for _, r, _ in pos], residuals_neg=[r for _, r, _ in neg],
+        evaluations=sum(e for _, _, e in pos + neg),
+        most_evaluations=max(e for _, _, e in pos + neg),
     )
 
 
@@ -400,7 +423,7 @@ def last_bracket_ratio(k: int) -> float:
     """
     k = _checked_int("k", k, 2)
     lo, hi = bracket_poles(2 * k, k)
-    theta, _ = _bracket_root(2 * k, "positive", k)
+    theta = _bracket_root(2 * k, "positive", k)[0]
     return (theta - lo) / (hi - lo)
 
 
@@ -489,9 +512,9 @@ def closure_witness(
                 else:
                     lo_k = mid
             n = 2 * hi_k + odd
-            theta, _ = _bracket_root(
+            theta = _bracket_root(
                 n, "positive" if positive else "negative", feasible(hi_k)[1]
-            )
+            )[0]
             mu = branch_positive(theta) if positive else branch_negative(theta)
             if not abs(mu - y) < epsilon:
                 raise RuntimeError(

@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from arspec import oracle, solver, threshold
+from arspec import cli, oracle, solver, threshold
 from arspec.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 
 
@@ -228,6 +228,52 @@ def test_figure_odd_curves(capsys):
         code, out, _ = run(capsys, *argv)
         assert code == EXIT_OK, argv
         assert float(out.split("\r\n")[-2].split(",")[0]) == math.pi, argv
+
+
+def _figure_curves_reference(k, points, parity):
+    # the pole-list sampler the O(points) one replaced, kept as its reference
+    even = parity == "even"
+    ratio = solver.sine_ratio_even if even else solver.sine_ratio_odd
+    upper = solver.branch_positive if even else solver.odd_ratio_positive
+    lower = solver.branch_negative if even else solver.odd_ratio_negative
+    curves = "branch_positive,branch_negative" if even else "ratio_positive,ratio_negative"
+    rows = ["theta,sine_ratio," + curves]
+    span = points if even else points - 1
+    n = 2 * k if even else 2 * k + 1
+    poles = [solver.bracket_poles(n, j)[1] for j in range(1, k)]
+    next_pole = 0
+    for i in range(points):
+        theta = math.pi if i == span else math.pi * i / span
+        if next_pole < len(poles) and theta > poles[next_pole]:
+            rows.append("")
+            next_pole += 1
+        rows.append("%r,%r,%r,%r" % (theta, ratio(theta, k), upper(theta), lower(theta)))
+    return cli._csv(rows)
+
+
+def test_figure_curves_match_the_pole_list_reference():
+    for parity in ("even", "odd"):
+        for k in range(2, 41):
+            for points in (10, 11, 23, 80, 201):
+                want = _figure_curves_reference(k, points, parity)
+                assert cli._figure_curves(k, points, parity) == want, (parity, k, points)
+
+
+def test_figure_curves_cost_follows_points(capsys, monkeypatch):
+    calls = []
+
+    def counted(n, j, fn=solver.bracket_poles):
+        calls.append(j)
+        return fn(n, j)
+
+    monkeypatch.setattr(solver, "bracket_poles", counted)
+    for which in ("even-curves", "odd-curves"):
+        calls.clear()
+        code, out, _ = run(capsys, "figure-data", "--which", which, "--k", "1000000",
+                           "--points", "10")
+        assert code == EXIT_OK
+        assert out.count("\r\n") == 1 + 10 + 9  # header, samples, one blank per later sample
+        assert len(calls) <= 10 + 2, which
 
 
 def test_density_verb_alias(capsys):

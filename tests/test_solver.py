@@ -241,6 +241,46 @@ def test_odd_ratio_consistent_with_branches():
         assert odd_ratio_negative(theta) == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
+# Small half orders, those where 2k - 1 crosses the direct-product limit, and larger ones
+_RESIDUAL_KS = (1, 2, 3, 499_999, 500_000, 500_001, 500_002, 10**6 + 1, 5_098_402)
+
+
+@pytest.mark.parametrize("k", _RESIDUAL_KS)
+def test_residuals_equal_the_layered_expressions(k):
+    # the bisection's residuals are bit for bit the public ratio minus curve
+    rng = random.Random(k)
+    thetas = [rng.uniform(0.0, 0.5 * math.pi) for _ in range(60)]
+    thetas += [rng.uniform(0.5 * math.pi, math.pi) for _ in range(60)]
+    thetas += [5e-324, 1e-300, 0.5 * math.pi, math.nextafter(math.pi, 0.0)]
+    for theta in thetas:
+        assert solver._odd_residual(theta, k, 1) == (
+            sine_ratio_odd(theta, k) - odd_ratio_positive(theta)), theta
+        assert solver._odd_residual(theta, k, -1) == (
+            sine_ratio_odd(theta, k) - odd_ratio_negative(theta)), theta
+        assert solver._even_residual(theta, k, 1) == (
+            sine_ratio_even(theta, k) - branch_positive(theta)), theta
+        assert solver._even_residual(theta, k, -1) == (
+            sine_ratio_even(theta, k) - branch_negative(theta)), theta
+
+
+def test_evaluation_counters_count_every_residual(monkeypatch):
+    calls = []
+    for name in ("_even_residual", "_odd_residual"):
+        def counted(theta, k, sign, fn=getattr(solver, name)):
+            calls.append(theta)
+            return fn(theta, k, sign)
+        monkeypatch.setattr(solver, name, counted)
+    for n in [*range(2, 61), 1001]:
+        calls.clear()
+        spec = solve_spectrum(n)
+        assert spec.evaluations == len(calls) > 0, n
+        assert 0 < spec.most_evaluations <= spec.evaluations
+
+
+def test_no_bracket_takes_more_than_54_evaluations():
+    assert max(solve_spectrum(n).most_evaluations for n in range(2, 400)) <= 54
+
+
 # --- brackets ---------------------------------------------------------------
 
 
@@ -374,8 +414,8 @@ def test_integer_arguments_are_not_truncated(entry):
 
 
 def test_bracket_error_carries_index(monkeypatch):
-    # a curve above every ratio value leaves bracket 5 without a sign change
-    monkeypatch.setattr(solver, "odd_ratio_positive", lambda theta: math.inf)
+    # a residual above zero everywhere leaves bracket 5 without a sign change
+    monkeypatch.setattr(solver, "_odd_residual", lambda theta, k, sign: math.inf)
     with pytest.raises(BracketRootError) as info:
         _bracket_root(21, "positive", 5)
     assert info.value.bracket_index == 5
@@ -447,7 +487,7 @@ def _reference_brackets():
 def test_roots_match_mpmath_reference(n, branch, j):
     # the defining equation at 40 digits, solved from the float root
     k, sign = n // 2, (1 if branch == "positive" else -1)
-    theta, _ = _bracket_root(n, branch, j)
+    theta = _bracket_root(n, branch, j)[0]
     with mpmath.workdps(40):
 
         def lam(t):
