@@ -11,7 +11,8 @@ or determinant routine is called; the three entry points are
     lists of rows, below order ROUND_ROBIN_MIN_ORDER, and from there up the
     round-robin order of Brent and Luk (SIAM J. Sci. Stat. Comput. 6, 1985),
     which rotates n/2 disjoint pairs per elementwise numpy step after padding
-    an odd order by one zero row and column,
+    an odd order by one zero row and column, each step writing into work
+    arrays made once per call,
 ``quotient_eigenvalues``
     eigenvalues of an equitable-partition quotient matrix, obtained by the
     diagonal similarity that restores symmetry before calling Jacobi,
@@ -53,13 +54,15 @@ MAX_SWEEPS = 100
 # Largest delay bound, as a fraction of the input's Frobenius norm: pairs
 # whose a_pq and a_qq - a_pp are both this small may wait for a later sweep.
 CLUSTER_CAP = 1e-10
-# Smallest order swept in round-robin order.  Below it the thirty-odd numpy
-# calls of each round cost more than the cyclic loop's per-pair Python.  The
-# list sweep breaks even with round-robin near order 20 on dense matrices (it
-# took 0.7 of round-robin's time at order 16 and 1.4 times it at 24), and
-# between orders 28 and 32 on threshold Laplacians in creation order, which
-# the cyclic order converges on in fewer sweeps.  Moving the switch would
-# change the last digits at the orders it moves over, so it stays at 16.
+# Smallest order swept in round-robin order.  Below it the 34 to 44 numpy calls
+# of a round that rotates, none of which allocates, cost more than the cyclic
+# loop's per-pair Python.  The list sweep breaks even with round-robin near
+# order 16 on dense random matrices (it took 1.0-1.3 times round-robin's time
+# at order 16 and 1.9-2.0 times it at 24), and between orders 20 and 24 on
+# threshold Laplacians in creation order, which the cyclic order converges on
+# in fewer sweeps (round-robin took 1.1-1.4 times the list sweep's time at 16
+# and 0.6-0.7 times it at 28).  Moving the switch would change the last digits
+# at the orders it moves over, so it stays at 16.
 ROUND_ROBIN_MIN_ORDER = 16
 # Largest order times largest entry swept unscaled: the squared norms of the
 # sweeps stay below (n * max|a_ij|)^2, which is finite up to 2^1024.  A
@@ -100,7 +103,11 @@ def _off_norm(a: np.ndarray) -> float:
 
 
 def _check_square(m) -> np.ndarray:
-    a = np.asarray(m, dtype=float)
+    a = np.asarray(m)
+    if np.iscomplexobj(a):
+        # converting to float would drop the imaginary parts
+        raise ValueError("matrix must be real, got complex entries")
+    a = a.astype(float, copy=False)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square, got shape %r" % (a.shape,))
     if a.shape[0] == 0:
@@ -127,7 +134,7 @@ def jacobi_eigenvalues(m) -> EigenResult:
     order gets one zero pad row and column, which no rotation touches and
     whose diagonal is not returned, and each of the N - 1 rounds of a sweep
     over the even order N rotates N/2 disjoint pairs in one elementwise
-    numpy update.
+    numpy update, written into work arrays made once per call.
 
     From the fourth sweep on, a pair with |a_pq| <= delta and
     |a_qq - a_pp| <= delta is neither rotated nor zeroed in that sweep, where
@@ -157,8 +164,8 @@ def jacobi_eigenvalues(m) -> EigenResult:
     (a nonzero largest entry below 2^-510) is swept scaled by a power of two,
     which is exact, and its eigenvalues are scaled back.
 
-    Raises ValueError for non-square, asymmetric or non-finite input, and
-    ConvergenceError if MAX_SWEEPS sweeps do not reach the target.
+    Raises ValueError for non-square, asymmetric, complex or non-finite
+    input, and ConvergenceError if MAX_SWEEPS sweeps do not reach the target.
     """
     a = _check_square(m)
     n = a.shape[0]
@@ -177,9 +184,9 @@ def jacobi_eigenvalues(m) -> EigenResult:
     target = JACOBI_TOL * norm
     sweep = _cyclic_sweep
     if n >= ROUND_ROBIN_MIN_ORDER:
-        sweep = _round_robin_sweep
         if n % 2:
             a = np.pad(a, (0, 1))
+        sweep = _round_robin(a.shape[0])
     sweeps = rotations = 0
     while True:
         off = _off_norm(a)
@@ -254,14 +261,14 @@ def _cyclic_sweep(a: np.ndarray, thresh: float, delay: float,
 
 class _Stack(NamedTuple):
     """A (3, h, h) stack of the round-robin sweep with the views its rounds
-    use: the blocks X, Y and Z, the pivot rows (their diagonals) and the
-    whole stack flat.  They are made once per sweep, not in every round,
-    which pays for the cluster-delay test of each round."""
+    use: the blocks X, Y and Z, X and Z together, the pivot rows (their
+    diagonals) and the whole stack flat."""
 
     blocks: np.ndarray
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
+    xz: np.ndarray
     ends: np.ndarray  # rows a_pp and a_qq
     app: np.ndarray
     apq: np.ndarray
@@ -269,16 +276,16 @@ class _Stack(NamedTuple):
     flat: np.ndarray
 
     @classmethod
-    def of(cls, blocks: np.ndarray) -> _Stack:
-        h = blocks.shape[1]
+    def empty(cls, h: int) -> _Stack:
+        blocks = np.empty((3, h, h))
         pivots = blocks.reshape(3, -1)[:, ::h + 1]
-        return cls(blocks, *blocks, pivots[::2], *pivots, blocks.reshape(-1))
+        return cls(blocks, *blocks, blocks[::2], pivots[::2], *pivots, blocks.reshape(-1))
 
 
-def _round_robin_sweep(a: np.ndarray, thresh: float, delay: float,
-                       zero_negligible: bool) -> tuple[np.ndarray, int]:
-    """One round-robin sweep over ``a`` of even order N = 2h; returns the
-    rotated matrix, in the input's row order, and the rotations applied.
+def _round_robin(n: int):
+    """The round-robin sweep over matrices of even order N = n = 2h: a
+    function of the same form as ``_cyclic_sweep`` that returns the rotated
+    matrix, in the input's row order, and the rotations applied.
 
     Round by round, index slot i of the top half [0, h) is paired with slot
     i of the bottom half [h, N).  The sweep keeps the three blocks
@@ -295,8 +302,11 @@ def _round_robin_sweep(a: np.ndarray, thresh: float, delay: float,
     updates.  Between rounds every slot but slot 0 passes its index one step
     around the ring h, 1, 2, .., h-1, N-1, N-2, .., h+1, so every pair meets
     once in N - 1 rounds and the sweep ends in its starting order.
+
+    The ring's gather plan and every work array are made here, once per
+    ``jacobi_eigenvalues`` call, and each step of a round writes into one of
+    them, so a round allocates nothing.
     """
-    n = a.shape[0]
     h = n // 2
     ring = np.r_[h, 1:h, n - 1:h:-1]
     step = np.arange(n)
@@ -310,54 +320,102 @@ def _round_robin_sweep(a: np.ndarray, thresh: float, delay: float,
 
     gather = np.concatenate([offset(top, top.T), offset(top, bottom.T),
                              offset(bottom, bottom.T)], axis=None)
-    cur = _Stack.of(np.stack([a[:h, :h], a[:h, h:], a[h:, h:]]))
-    nxt = _Stack.of(np.empty((3, h, h)))
+    stacks = _Stack.empty(h), _Stack.empty(h)
+    full = np.empty((n, n))
+    # per-pair vectors: a_qq - a_pp, |a_pq|, a_pq^2 and max(|a_pq|, |diff|),
+    # 100 |a_pq|, 2 a_pq, the denominator of t, t and t a_pq
+    diff, aq, sq, wide, g, twice, den, t, tapq = np.empty((9, h))
+    rot, outside, moves, keep = np.empty((4, h), dtype=bool)
+    d, dg = np.empty((2, 2, h))  # |a_pp|, |a_qq| and those plus g
+    moved = np.empty((2, h), dtype=bool)
     cs = np.empty((2, h))
-    rotations = 0
-    for _ in range(n - 1):
-        blocks, x, y, z, ends, app, apq, aqq, _ = cur
-        diff = aqq - app
-        aq = np.abs(apq)
-        rot = apq * apq > thresh
-        if delay:  # pairs inside a cluster of equal eigenvalues wait
-            rot &= np.maximum(aq, np.abs(diff)) > delay
-        done = rot
-        if zero_negligible:
-            g = 100.0 * aq
-            d = np.abs(ends)
-            done = rot & (d + g != d).any(axis=0)
-        count = int(np.count_nonzero(done))
-        if count:
-            # t = tan(phi) of the smaller rotation annihilating a_pq, left at
-            # 0 for the pairs not rotated; hypot keeps diff^2 from overflowing
-            twice = 2.0 * apq
-            t = np.divide(twice, diff + np.copysign(np.hypot(diff, twice), diff),
-                          out=np.zeros(h), where=done)
-            np.divide(1.0, np.hypot(t, 1.0), out=cs[0])
-            np.multiply(t, cs[0], out=cs[1])
-            o = (cs[:, None, :, None] * cs[None, :, None, :]).reshape(4, h, h)
-            cc, ss = o[0], o[3]
-            xz = o[::3] * x + o[::-3] * z
-            uw = o[1:3] * y
-            uw += uw.transpose(0, 2, 1).copy()
-            _, bx, by, bz, _, bpp, _, bqq, _ = nxt
-            np.subtract(xz[0], uw[0], out=bx)
-            np.add(xz[1], uw[1], out=bz)
-            v = o[1:3] * blocks[::2]
-            np.subtract(v[0], v[1], out=by)
-            by += cc * y - (ss * y).T
-            tapq = t * apq
-            np.subtract(app, tapq, out=bpp)
-            np.add(aqq, tapq, out=bqq)
+    c, s = cs
+    cs_rows, cs_cols = cs[:, None, :, None], cs[None, :, None, :]
+    o = np.empty((4, h, h))
+    outer = o.reshape(2, 2, h, h)
+    cc, ss, cc_ss, ss_cc, cs_sc = o[0], o[3], o[::3], o[::-3], o[1:3]
+    # X and Z partial stacks: the sums CC*X + SS*Z and SS*X + CC*Z, their
+    # second terms and then CS*X and SC*Z, U and W, U + U' and W + W'
+    mixed, terms, uw, uw_sym = np.empty((4, 2, h, h))
+    uw_t = uw.transpose(0, 2, 1)
+    ccy, ssy = uw
+    ssy_t = ssy.T
+
+    def sweep(a: np.ndarray, thresh: float, delay: float,
+              zero_negligible: bool) -> tuple[np.ndarray, int]:
+        cur, nxt = stacks
+        cur.x[...] = a[:h, :h]
+        cur.y[...] = a[:h, h:]
+        cur.z[...] = a[h:, h:]
+        rotations = 0
+        for _ in range(n - 1):
+            _, x, y, z, xz, ends, app, apq, aqq, _ = cur
+            np.subtract(aqq, app, out=diff)
+            np.abs(apq, out=aq)
+            np.multiply(apq, apq, out=sq)
+            np.greater(sq, thresh, out=rot)
+            if delay:  # pairs inside a cluster of equal eigenvalues wait
+                np.abs(diff, out=wide)
+                np.maximum(aq, wide, out=wide)
+                np.greater(wide, delay, out=outside)
+                np.logical_and(rot, outside, out=rot)
+            done = rot
+            if zero_negligible:  # a pair that moves neither pivot is zeroed
+                np.multiply(100.0, aq, out=g)
+                np.abs(ends, out=d)
+                np.add(d, g, out=dg)
+                np.not_equal(dg, d, out=moved)
+                np.logical_or(moved[0], moved[1], out=moves)
+                np.logical_and(rot, moves, out=moves)
+                done = moves
+            count = int(np.count_nonzero(done))
+            if count:
+                # t = tan(phi) of the smaller rotation annihilating a_pq, left
+                # at 0 for the pairs not rotated; hypot keeps diff^2 from
+                # overflowing
+                np.multiply(2.0, apq, out=twice)
+                np.hypot(diff, twice, out=den)
+                np.copysign(den, diff, out=den)
+                np.add(diff, den, out=den)
+                t.fill(0.0)
+                np.divide(twice, den, out=t, where=done)
+                np.hypot(t, 1.0, out=c)
+                np.divide(1.0, c, out=c)
+                np.multiply(t, c, out=s)
+                np.multiply(cs_rows, cs_cols, out=outer)
+                np.multiply(cc_ss, x, out=mixed)
+                np.multiply(ss_cc, z, out=terms)
+                np.add(mixed, terms, out=mixed)
+                np.multiply(cs_sc, y, out=uw)
+                np.add(uw, uw_t, out=uw_sym)
+                _, bx, by, bz, _, _, bpp, _, bqq, _ = nxt
+                np.subtract(mixed[0], uw_sym[0], out=bx)
+                np.add(mixed[1], uw_sym[1], out=bz)
+                np.multiply(cs_sc, xz, out=terms)
+                np.subtract(terms[0], terms[1], out=by)
+                np.multiply(cc, y, out=ccy)
+                np.multiply(ss, y, out=ssy)
+                np.subtract(ccy, ssy_t, out=ccy)
+                np.add(by, ccy, out=by)
+                np.multiply(t, apq, out=tapq)
+                np.subtract(app, tapq, out=bpp)
+                np.add(aqq, tapq, out=bqq)
+                cur, nxt = nxt, cur
+                rotations += count
+            # a_pq of every pair rotated or found negligible becomes exactly 0
+            np.logical_not(rot, out=keep)
+            np.multiply(apq, keep, out=cur.apq)
+            # every index is valid; mode="raise" would buffer the output
+            cur.blocks.take(gather, out=nxt.flat, mode="clip")
             cur, nxt = nxt, cur
-            rotations += count
-        # a_pq of every pair rotated or found negligible becomes exactly 0
-        np.multiply(apq, ~rot, out=cur.apq)
-        # every index is valid; mode="raise" would buffer the output
-        np.take(cur.blocks, gather, out=nxt.flat, mode="clip")
-        cur, nxt = nxt, cur
-    x, y, z = cur.blocks
-    return np.block([[x, y], [y.T, z]]), rotations
+        x, y, z = cur.blocks
+        full[:h, :h] = x
+        full[:h, h:] = y
+        full[h:, :h] = y.T
+        full[h:, h:] = z
+        return full, rotations
+
+    return sweep
 
 
 def quotient_eigenvalues(m, cell_sizes) -> EigenResult:
@@ -394,11 +452,17 @@ def char_poly_eval(m, t: float) -> float:
     """Evaluate det(tI - M) by LU factorization with partial pivoting.
 
     The determinant is the product of pivots times the sign of the row
-    permutation; an exactly zero pivot short-circuits to 0.0.
+    permutation; an exactly zero pivot short-circuits to 0.0.  Raises
+    ValueError for a t that is not a finite float: inf, nan, or an integer
+    such as 10**400 beyond the float range.
     """
     a = _check_square(m)
+    # the range first: float(10**400) overflows, and nan fails both tests
+    if not -sys.float_info.max <= t <= sys.float_info.max:
+        raise ValueError("t must be finite and within the float range")
+    t = float(t)
     n = a.shape[0]
-    a = float(t) * np.eye(n) - a
+    a = t * np.eye(n) - a
     sign = 1.0
     det = 1.0
     for col in range(n):

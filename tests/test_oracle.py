@@ -3,6 +3,7 @@ against hand-computable spectra and internal consistency identities only."""
 
 import math
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -167,6 +168,42 @@ def test_infinite_diagonal_is_rejected(n):
             quotient_eigenvalues(_with_entry(n, 0, 0, value), [1] * n)
         with pytest.raises(ValueError, match="non-finite"):
             char_poly_eval(_with_entry(n, 2, 2, value), 0.0)
+
+
+HERMITIAN = [[0.0, 1j], [-1j, 0.0]]  # eigenvalues -1 and 1
+
+
+def test_jacobi_rejects_complex_input():
+    # used to return [0.0, 0.0], the imaginary parts dropped, with only a
+    # ComplexWarning; warnings as errors show the check comes before that
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="complex"):
+            jacobi_eigenvalues(HERMITIAN)
+
+
+def test_quotient_rejects_complex_input():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="complex"):
+            quotient_eigenvalues(HERMITIAN, [1, 1])
+
+
+def test_char_poly_rejects_complex_input():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="complex"):
+            char_poly_eval(np.array(HERMITIAN), 0.5)
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan, 10**400])
+def test_char_poly_rejects_non_finite_t(t):
+    # inf and nan used to return nan, inf with an "invalid value"
+    # RuntimeWarning; 10**400 raised OverflowError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="t must be finite"):
+            char_poly_eval(np.eye(3), t)
 
 
 def test_convergence_error_is_a_runtime_error():
@@ -355,3 +392,112 @@ def test_list_sweep_matches_numpy_row_updates(monkeypatch, n):
             want = jacobi_eigenvalues(m)
         assert (got.eigenvalues, got.sweeps, got.rotations, got.off_norm) == (
             want.eigenvalues, want.sweeps, want.rotations, want.off_norm)
+
+
+class _AllocatingStack(NamedTuple):
+    blocks: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
+    ends: np.ndarray
+    app: np.ndarray
+    apq: np.ndarray
+    aqq: np.ndarray
+    flat: np.ndarray
+
+    @classmethod
+    def of(cls, blocks):
+        h = blocks.shape[1]
+        pivots = blocks.reshape(3, -1)[:, ::h + 1]
+        return cls(blocks, *blocks, pivots[::2], *pivots, blocks.reshape(-1))
+
+
+def _allocating_round_robin_sweep(a, thresh, delay, zero_negligible):
+    """The round-robin sweep with a fresh array for every step of a round,
+    kept as the reference that the allocation-free sweep must match bit for
+    bit."""
+    n = a.shape[0]
+    h = n // 2
+    ring = np.r_[h, 1:h, n - 1:h:-1]
+    step = np.arange(n)
+    step[np.roll(ring, -1)] = ring
+    top, bottom = step[:h, None], step[h:, None]
+
+    def offset(u, v):
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        return np.where(hi < h, lo * h + hi, (h + lo) * h + hi - h)
+
+    gather = np.concatenate([offset(top, top.T), offset(top, bottom.T),
+                             offset(bottom, bottom.T)], axis=None)
+    cur = _AllocatingStack.of(np.stack([a[:h, :h], a[:h, h:], a[h:, h:]]))
+    nxt = _AllocatingStack.of(np.empty((3, h, h)))
+    cs = np.empty((2, h))
+    rotations = 0
+    for _ in range(n - 1):
+        blocks, x, y, z, ends, app, apq, aqq, _ = cur
+        diff = aqq - app
+        aq = np.abs(apq)
+        rot = apq * apq > thresh
+        if delay:
+            rot &= np.maximum(aq, np.abs(diff)) > delay
+        done = rot
+        if zero_negligible:
+            g = 100.0 * aq
+            d = np.abs(ends)
+            done = rot & (d + g != d).any(axis=0)
+        count = int(np.count_nonzero(done))
+        if count:
+            twice = 2.0 * apq
+            t = np.divide(twice, diff + np.copysign(np.hypot(diff, twice), diff),
+                          out=np.zeros(h), where=done)
+            np.divide(1.0, np.hypot(t, 1.0), out=cs[0])
+            np.multiply(t, cs[0], out=cs[1])
+            o = (cs[:, None, :, None] * cs[None, :, None, :]).reshape(4, h, h)
+            cc, ss = o[0], o[3]
+            xz = o[::3] * x + o[::-3] * z
+            uw = o[1:3] * y
+            uw += uw.transpose(0, 2, 1).copy()
+            _, bx, by, bz, _, bpp, _, bqq, _ = nxt
+            np.subtract(xz[0], uw[0], out=bx)
+            np.add(xz[1], uw[1], out=bz)
+            v = o[1:3] * blocks[::2]
+            np.subtract(v[0], v[1], out=by)
+            by += cc * y - (ss * y).T
+            tapq = t * apq
+            np.subtract(app, tapq, out=bpp)
+            np.add(aqq, tapq, out=bqq)
+            cur, nxt = nxt, cur
+            rotations += count
+        np.multiply(apq, ~rot, out=cur.apq)
+        np.take(cur.blocks, gather, out=nxt.flat, mode="clip")
+        cur, nxt = nxt, cur
+    x, y, z = cur.blocks
+    return np.block([[x, y], [y.T, z]]), rotations
+
+
+def _round_robin_inputs(n, rng):
+    a = antiregular_adjacency(n)
+    yield a.astype(float)
+    yield laplacian(a).astype(float)
+    yield a.astype(float) * 2.0 ** 600
+    for _ in range(2):
+        bits = (0, *rng.integers(0, 2, size=n - 2), 1)
+        b = adjacency_from_sequence(bits)
+        yield b.astype(float)
+        yield laplacian(b).astype(float)
+        m = rng.normal(size=(n, n))
+        yield m + m.T
+
+
+@pytest.mark.parametrize("n", range(ROUND_ROBIN_MIN_ORDER, 42))
+def test_round_robin_sweep_matches_allocating_rounds(monkeypatch, n):
+    # repr tells -0.0 from 0.0, which == does not
+    rng = np.random.default_rng(2000 + n)
+    for m in _round_robin_inputs(n, rng):
+        got = jacobi_eigenvalues(m)
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "_round_robin", lambda order: _allocating_round_robin_sweep)
+            want = jacobi_eigenvalues(m)
+        assert repr(got.eigenvalues) == repr(want.eigenvalues)
+        assert (got.sweeps, got.rotations, repr(got.off_norm)) == (
+            want.sweeps, want.rotations, repr(want.off_norm))
