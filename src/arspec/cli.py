@@ -20,7 +20,7 @@ import os
 import sys
 
 from . import checks, graphs, oracle, solver, threshold
-from .solver import _checked_int
+from .solver import _MAX_K, _MAX_ORDER, _checked_int
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
@@ -87,7 +87,7 @@ def _index_csv(eigenvalues) -> str:
 
 def cmd_spectrum(args) -> int:
     if args.method == "cheb":
-        _checked_int("spectrum --n", args.n, 2)
+        _checked_int("spectrum --n", args.n, 2, _MAX_ORDER)
     else:  # the dense oracle is capped
         _checked_int("spectrum --method %s --n" % args.method, args.n, 2, DENSE_MAX_ORDER)
     _check_out(args)
@@ -243,7 +243,7 @@ def _figure_curves(k: int, points: int, parity: str) -> str:
 def cmd_figure_data(args) -> int:
     # theta reads only --points and density only --k
     if args.which != "theta":
-        _checked_int("%s --k" % args.verb, args.k, 2)
+        _checked_int("%s --k" % args.verb, args.k, 2, _MAX_K)
     if args.which != "density":
         _checked_int("figure-data --points", args.points, 10)
     _check_out(args)

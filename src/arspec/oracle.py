@@ -402,7 +402,11 @@ def _round_robin(n: int):
                 np.add(aqq, tapq, out=bqq)
                 cur, nxt = nxt, cur
                 rotations += count
-            # a_pq of every pair rotated or found negligible becomes exactly 0
+            # a_pq of every pair rotated or found negligible becomes exactly 0,
+            # by a multiply that keeps its sign, not a store of +0.0: a later
+            # unrotated pair's pivot a_pp - 0 a_pq takes the sign of such a
+            # zero, and a pair whose a_qq - a_pp is then +-0 turns by +45 or
+            # -45 degrees through copysign, which moves the eigenvalues
             np.logical_not(rot, out=keep)
             np.multiply(apq, keep, out=cur.apq)
             # every index is valid; mode="raise" would buffer the output

@@ -53,6 +53,11 @@ FORBIDDEN_HI = (math.sqrt(2.0) - 1.0) / 2.0
 # Largest sine multiplier evaluated as a plain float product.
 _DIRECT_MULT_LIMIT = 1_000_000
 
+# Largest half order k and order n = 2k + 1 taken: up to them 2k - 1 and
+# n - 1 are exact doubles, and nothing overflows on the way to the angles.
+_MAX_K = 2 ** 52
+_MAX_ORDER = 2 * _MAX_K + 1
+
 # pi minus its double rounding math.pi; half of math.pi, exact.
 _PI_LO = 1.2246467991473532e-16
 _HALF_PI = 0.5 * math.pi
@@ -84,7 +89,7 @@ def bracket_poles(n: int, j: int) -> tuple[float, float]:
     is 2 pi / (n - 1) at both parities: 2 pi / (2k - 1) for even order 2k,
     and for odd order 2k + 1 the double 2 pi / (2k), which equals pi / k.
     """
-    n = _checked_int("n", n, 2)
+    n = _checked_int("n", n, 2, _MAX_ORDER)
     k = n // 2
     j = _checked_int("bracket index j", j, 1, k)
     step = 2.0 * math.pi / (n - 1)
@@ -94,7 +99,9 @@ def bracket_poles(n: int, j: int) -> tuple[float, float]:
 def _checked_int(name: str, value, lo: int, hi: float = math.inf) -> int:
     """value as an int in lo..hi, else ValueError: 7.9, "8", inf and nan are
     refused, not truncated, parsed or let through; 8.0 and numpy integers pass.
-    Every integer argument of the package is checked here."""
+    Every integer argument of the package is checked here.  A hi of _MAX_K
+    or more only keeps orders from overflowing, so the message names the
+    side that was crossed instead of the range."""
     if type(value) is not int:  # ints skip this; bracket_poles runs once per root
         try:
             whole = int(value)
@@ -104,7 +111,10 @@ def _checked_int(name: str, value, lo: int, hi: float = math.inf) -> int:
             raise ValueError("%s must be an integer, got %r" % (name, value))
         value = whole
     if not lo <= value <= hi:
-        bound = "be >= %d" % lo if hi == math.inf else "lie in %d..%d" % (lo, hi)
+        if hi < _MAX_K:
+            bound = "lie in %d..%d" % (lo, hi)
+        else:
+            bound = "be >= %d" % lo if value < lo else "be <= %d" % hi
         raise ValueError("%s must %s, got %d" % (name, bound, value))
     return value
 
@@ -124,18 +134,10 @@ def theta_of_lambda(lam: float) -> float:
         inv = 1.0 / lam  # the formula below divided through by lam^2, which overflows
         return math.acos((inv * inv - 2.0 * inv - 2.0) / (2.0 + 2.0 * inv))
     den = 2.0 * lam * (lam + 1.0)
-    if den == 0.0:
+    arg = (1.0 - 2.0 * lam - 2.0 * lam * lam) / den if den else math.inf
+    if abs(arg) > 1.0 + 1e-12:  # rounding alone stays within 1e-12 of [-1, 1]
         raise ValueError("no angle: %r lies inside the forbidden interval" % (lam,))
-    arg = (1.0 - 2.0 * lam - 2.0 * lam * lam) / den
-    if arg > 1.0:
-        if arg > 1.0 + 1e-12:
-            raise ValueError("no angle: %r lies inside the forbidden interval" % (lam,))
-        arg = 1.0
-    elif arg < -1.0:
-        if arg < -1.0 - 1e-12:
-            raise ValueError("no angle: %r lies inside the forbidden interval" % (lam,))
-        arg = -1.0
-    return math.acos(arg)
+    return math.acos(min(max(arg, -1.0), 1.0))
 
 
 def _cos_plus_one(theta: float) -> float:
@@ -205,7 +207,7 @@ def sine_ratio_even(theta: float, k: int) -> float:
     never exactly 0 once t / 2 is nonzero, so next to a pole the ratio is
     large but finite.
     """
-    k = _checked_int("k", k, 1)
+    k = _checked_int("k", k, 1, _MAX_K)
     if not 0.0 <= theta <= math.pi:
         raise ValueError("theta must lie in [0, pi], got %r" % (theta,))
     if 0.5 * theta == 0.0:  # theta = 0, or 5e-324, whose half rounds to 0
@@ -224,7 +226,7 @@ def sine_ratio_odd(theta: float, k: int) -> float:
     sine of a nonzero double is never exactly 0, so next to a pole the ratio
     is large but finite.
     """
-    k = _checked_int("k", k, 1)
+    k = _checked_int("k", k, 1, _MAX_K)
     if not 0.0 <= theta <= math.pi:
         raise ValueError("theta must lie in [0, pi], got %r" % (theta,))
     if theta == 0.0:
@@ -278,12 +280,14 @@ def _odd_residual(theta: float, k: int, sign: int) -> float:
     return _sin_mult(k - 1, theta) / _sin_mult(k, theta) - curve
 
 
-def _bracket_root(n: int, branch: str, j: int) -> tuple[float, float, int]:
-    """(theta, |residual|, evaluations) of the order-n root on ``branch`` in bracket j.
+def _bracket_root(n: int, sign: int, j: int) -> tuple[float, float, float, int]:
+    """The order-n root in bracket j on the branch of ``sign``, as the record
+    (theta, lam, |residual|, evaluations).
 
-    branch is "positive" or "negative"; the eigenvalue is
-    branch_positive(theta) or branch_negative(theta).  The residual is the
-    sine ratio minus the branch curve (even n) or minus the branch image of
+    sign 1 is the positive branch, lam = branch_positive(theta), and sign -1
+    the negative one, lam = branch_negative(theta); the branch curve is
+    applied here and nowhere else.  The residual is the sine ratio minus the
+    branch curve (even n) or minus the branch image of
     (2 - lambda^2) / (lambda (lambda + 1)) (odd n), one function per parity
     built from one cos(theta / 2).  Next to the left end of
     bracket_poles(n, j) it is positive for even n (R(0) - B(0) > 0 in
@@ -301,7 +305,6 @@ def _bracket_root(n: int, branch: str, j: int) -> tuple[float, float, int]:
     """
     k, odd = n // 2, n % 2 == 1
     fn = _odd_residual if odd else _even_residual
-    sign = 1 if branch == "positive" else -1
     a, b = bracket_poles(n, j)
     fa = fb = None
     evals = 0
@@ -310,15 +313,19 @@ def _bracket_root(n: int, branch: str, j: int) -> tuple[float, float, int]:
         fm = fn(mid, k, sign)
         evals += 1
         if fm == 0.0:
-            return mid, 0.0, evals
+            theta, resid = mid, 0.0
+            break
         if (fm < 0.0) == odd:  # the sign next to the left end
             a, fa = mid, fm
         else:
             b, fb = mid, fm
         mid = 0.5 * (a + b)
-    if fa is None or fb is None:
-        raise BracketRootError("no sign change in bracket %d of order %d" % (j, n), j)
-    return (a, abs(fa), evals) if abs(fa) <= abs(fb) else (b, abs(fb), evals)
+    else:
+        if fa is None or fb is None:
+            raise BracketRootError("no sign change in bracket %d of order %d" % (j, n), j)
+        theta, resid = (a, abs(fa)) if abs(fa) <= abs(fb) else (b, abs(fb))
+    lam = branch_positive(theta) if sign > 0 else branch_negative(theta)
+    return theta, lam, resid, evals
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +342,8 @@ class SpectrumResult:
     bracket_poles(n, i + 1).  ``residuals`` on the wire is the
     concatenation positives-then-negatives.  ``evaluations`` counts the
     residual evaluations over all brackets and ``most_evaluations`` the most
-    in one bracket; neither is part of the JSON or CSV.
+    in one bracket; neither is part of the JSON or CSV.  Each column is one
+    field of the roots' (theta, lam, |residual|, evaluations) records.
     """
 
     n: int
@@ -373,12 +381,11 @@ class SpectrumResult:
     def to_csv(self) -> str:
         lines = ["index,sign_class,theta,lambda,residual,bracket_lo,bracket_hi"]
         lines.append("0,trivial,,%r,,," % self.trivial)
-        pos = (self.positives, self.thetas_pos, self.residuals_pos)
-        neg = (self.negatives, self.thetas_neg, self.residuals_neg)
-        for sign, columns in (("positive", pos), ("negative", neg)):
-            for j, (lam, theta, resid) in enumerate(zip(*columns), 1):
-                lo, hi = bracket_poles(self.n, j)
-                lines.append("%d,%s,%r,%r,%r,%r,%r" % (j, sign, theta, lam, resid, lo, hi))
+        pos = ("%d,positive,%r,%r,%r,%r,%r", self.thetas_pos, self.positives, self.residuals_pos)
+        neg = ("%d,negative,%r,%r,%r,%r,%r", self.thetas_neg, self.negatives, self.residuals_neg)
+        for row, *columns in (pos, neg):
+            for j, (theta, lam, resid) in enumerate(zip(*columns), 1):
+                lines.append(row % (j, theta, lam, resid, *bracket_poles(self.n, j)))
         return "\r\n".join(lines) + "\r\n"
 
 
@@ -390,17 +397,19 @@ def solve_spectrum(n: int) -> SpectrumResult:
     bracket index) if any bracket refuses to produce its root; this does
     not happen for any supported order.
     """
-    n = _checked_int("n", n, 2)
-    pos = [_bracket_root(n, "positive", j) for j in range(1, n // 2 + 1)]
-    neg = [_bracket_root(n, "negative", j) for j in range(1, (n - 1) // 2 + 1)]
+    n = _checked_int("n", n, 2, _MAX_ORDER)
+
+    def columns(sign: int, brackets: int) -> list[list]:
+        roots = [_bracket_root(n, sign, j) for j in range(1, brackets + 1)]
+        return [[root[i] for root in roots] for i in range(4)]
+
+    thetas_pos, positives, residuals_pos, evals_pos = columns(1, n // 2)
+    thetas_neg, negatives, residuals_neg, evals_neg = columns(-1, (n - 1) // 2)
     return SpectrumResult(
-        n=n, trivial=0.0 if n % 2 else -1.0,
-        positives=[branch_positive(theta) for theta, _, _ in pos],
-        negatives=[branch_negative(theta) for theta, _, _ in neg],
-        thetas_pos=[theta for theta, _, _ in pos], thetas_neg=[theta for theta, _, _ in neg],
-        residuals_pos=[r for _, r, _ in pos], residuals_neg=[r for _, r, _ in neg],
-        evaluations=sum(e for _, _, e in pos + neg),
-        most_evaluations=max(e for _, _, e in pos + neg),
+        n=n, trivial=0.0 if n % 2 else -1.0, positives=positives, negatives=negatives,
+        thetas_pos=thetas_pos, thetas_neg=thetas_neg,
+        residuals_pos=residuals_pos, residuals_neg=residuals_neg,
+        evaluations=sum(evals_pos + evals_neg), most_evaluations=max(evals_pos + evals_neg),
     )
 
 
@@ -421,10 +430,9 @@ def last_bracket_ratio(k: int) -> float:
     value drifts toward 1/2 as k grows.  Only the last bracket is solved,
     so large k stay cheap.
     """
-    k = _checked_int("k", k, 2)
+    k = _checked_int("k", k, 2, _MAX_K)
     lo, hi = bracket_poles(2 * k, k)
-    theta = _bracket_root(2 * k, "positive", k)[0]
-    return (theta - lo) / (hi - lo)
+    return (_bracket_root(2 * k, 1, k)[0] - lo) / (hi - lo)
 
 
 def innermost_eigenvalues(k: int) -> tuple[float, float | None]:
@@ -435,11 +443,9 @@ def innermost_eigenvalues(k: int) -> tuple[float, float | None]:
     negative one increases toward the other.  k = 1 has no negative-branch
     root, reported as None.
     """
-    k = _checked_int("k", k, 1)
-    lam_pos = branch_positive(_bracket_root(2 * k, "positive", 1)[0])
-    if k == 1:
-        return lam_pos, None
-    return lam_pos, branch_negative(_bracket_root(2 * k, "negative", 1)[0])
+    k = _checked_int("k", k, 1, _MAX_K)
+    lam_pos = _bracket_root(2 * k, 1, 1)[1]
+    return lam_pos, (None if k == 1 else _bracket_root(2 * k, -1, 1)[1])
 
 
 def eigenvalue_estimates(k: int, j: int) -> tuple[float, float, float]:
@@ -450,7 +456,7 @@ def eigenvalue_estimates(k: int, j: int) -> tuple[float, float, float]:
     2 pi branch_positive_derivative(gamma_j) / (2k - 1) of the true root.
     Doubling k roughly halves the bound at fixed gamma.
     """
-    k = _checked_int("k", k, 1)
+    k = _checked_int("k", k, 1, _MAX_K)
     j = _checked_int("j", j, 1, k - 1)
     gamma = bracket_poles(2 * k, j)[1]
     bound = 2.0 * math.pi * branch_positive_derivative(gamma) / (2 * k - 1)
@@ -489,40 +495,33 @@ def closure_witness(
         raise ValueError("no witness: %r lies inside the forbidden interval" % (y,))
     theta_prime = theta_of_lambda(y)
     odd = parity == "odd"
-    positive = y > 0.0
 
-    def feasible(k: int) -> tuple[bool, int]:
+    def bracket(k: int) -> int | None:
+        # the bracket of order 2k + odd that holds y's angle, if that
+        # bracket's error bound is below epsilon
         step = 2.0 * math.pi / (2 * k + odd - 1)
         j = int(theta_prime // step) + 1
-        if j > k - 1:
-            return False, j
-        gamma = j * step
-        bound = branch_positive_derivative(gamma) * step
-        return bound < epsilon, j
+        if j > k - 1 or not branch_positive_derivative(j * step) * step < epsilon:
+            return None
+        return j
 
-    k = 2
-    while k <= 8_388_608:
-        ok, _ = feasible(k)
-        if ok:
-            lo_k, hi_k = max(2, k // 2), k
-            while hi_k - lo_k > 1:
-                mid = (lo_k + hi_k) // 2
-                if feasible(mid)[0]:
-                    hi_k = mid
-                else:
-                    lo_k = mid
-            n = 2 * hi_k + odd
-            theta = _bracket_root(
-                n, "positive" if positive else "negative", feasible(hi_k)[1]
-            )[0]
-            mu = branch_positive(theta) if positive else branch_negative(theta)
-            if not abs(mu - y) < epsilon:
-                raise RuntimeError(
-                    "witness bound violated: |%r - %r| >= %r" % (mu, y, epsilon)
-                )
-            return n, float(mu)
+    k, j = 2, bracket(2)
+    while j is None:
         k *= 2
-    raise RuntimeError(
-        "no witness order found for y=%r at epsilon=%r within supported range"
-        % (y, epsilon)
-    )
+        if k > 2 ** 23:
+            raise RuntimeError(
+                "no witness order found for y=%r at epsilon=%r within supported range"
+                % (y, epsilon))
+        j = bracket(k)
+    lo_k = max(2, k // 2)  # bisect down to the smallest feasible k
+    while k - lo_k > 1:
+        mid = (lo_k + k) // 2
+        found = bracket(mid)
+        if found is None:
+            lo_k = mid
+        else:
+            k, j = mid, found
+    mu = _bracket_root(2 * k + odd, 1 if y > 0.0 else -1, j)[1]
+    if not abs(mu - y) < epsilon:
+        raise RuntimeError("witness bound violated: |%r - %r| >= %r" % (mu, y, epsilon))
+    return 2 * k + odd, mu

@@ -294,6 +294,21 @@ def test_figure_usage_errors(capsys):
         EXIT_USAGE, "", "error: density --k must be >= 2, got 1\n")
 
 
+@pytest.mark.parametrize("argv, bound", [
+    (("spectrum", "--n"), solver._MAX_ORDER),
+    (("figure-data", "--which", "even-curves", "--k"), solver._MAX_K),
+    (("figure-data", "--which", "odd-curves", "--k"), solver._MAX_K),
+    (("figure-data", "--which", "density", "--k"), solver._MAX_K),
+    (("density", "--k"), solver._MAX_K),
+])
+def test_huge_orders_are_usage_errors(capsys, argv, bound):
+    # a 401-digit order once ended in an OverflowError traceback, exit 1
+    for value in (bound + 1, 10 ** 400):
+        code, out, err = run(capsys, *argv, str(value))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: ") and err.endswith(" must be <= %d, got %d\n" % (bound, value))
+
+
 def test_figure_options_are_checked_only_where_read(capsys):
     # theta ignores --k and density ignores --points
     theta = run(capsys, "figure-data", "--which", "theta", "--points", "20")

@@ -475,11 +475,28 @@ def _allocating_round_robin_sweep(a, thresh, delay, zero_negligible):
     return np.block([[x, y], [y.T, z]]), rotations
 
 
+# edges of graphs whose negated adjacency, -0.0 off the edges, needs a rotated
+# pair's a_pq to become a zero of a_pq's sign: with +0.0 in its place the
+# eigenvalues, and at orders 29 and 37 the rotation counts, come out different
+_SIGNED_ZERO_GRAPHS = {
+    19: ((3, 11), (3, 13), (3, 15), (4, 6), (4, 9), (4, 16), (6, 16), (8, 18)),
+    29: ((3, 24), (5, 20), (7, 22), (11, 26), (14, 28), (24, 28), (26, 28)),
+    31: ((3, 25), (5, 21), (7, 23), (9, 29), (16, 18), (25, 30)),
+    36: ((7, 31), (9, 11), (9, 27), (11, 29), (18, 22), (31, 35)),
+    37: ((11, 36), (13, 32), (14, 35), (15, 34), (20, 22), (35, 36)),
+}
+
+
 def _round_robin_inputs(n, rng):
     a = antiregular_adjacency(n)
     yield a.astype(float)
     yield laplacian(a).astype(float)
     yield a.astype(float) * 2.0 ** 600
+    if n in _SIGNED_ZERO_GRAPHS:
+        g = np.zeros((n, n))
+        for p, q in _SIGNED_ZERO_GRAPHS[n]:
+            g[p, q] = g[q, p] = 1.0
+        yield -g
     for _ in range(2):
         bits = (0, *rng.integers(0, 2, size=n - 2), 1)
         b = adjacency_from_sequence(bits)

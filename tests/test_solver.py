@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import mpmath
@@ -69,6 +70,30 @@ def test_theta_of_lambda_boundary_clamps_to_zero():
 def test_theta_of_lambda_rejects_gap(lam):
     with pytest.raises(ValueError):
         theta_of_lambda(lam)
+
+
+@pytest.mark.parametrize("lam, expected", [
+    # the cosine argument rounds to 1 - 4 ulp, 1 - 2 ulp, 1 + 2 ulp and 1 + 16 ulp:
+    # one ulp inside the gap still gets an angle, within the 1e-12 clamp
+    (FORBIDDEN_HI, 2.9802322387695312e-08),
+    (math.nextafter(FORBIDDEN_HI, 0.0), 2.1073424255447017e-08),
+    (FORBIDDEN_LO, 0.0),
+    (math.nextafter(FORBIDDEN_LO, 0.0), 0.0),
+    (0.0, "no angle: 0.0 lies inside the forbidden interval"),  # zero denominator
+    (-0.0, "no angle: -0.0 lies inside the forbidden interval"),
+    (-1.0, "no angle: -1.0 lies inside the forbidden interval"),
+    (1e151, math.pi),  # the path divided through by lam^2
+    (-1e151, math.pi),
+    (math.inf, "no angle: inf is not finite"),
+    (-math.inf, "no angle: -inf is not finite"),
+    (math.nan, "no angle: nan is not finite"),
+])
+def test_theta_of_lambda_edges_are_pinned(lam, expected):
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(expected)):
+            theta_of_lambda(lam)
+    else:
+        assert repr(theta_of_lambda(lam)) == repr(expected)
 
 
 def test_theta_of_lambda_clamps_to_pi():
@@ -413,11 +438,43 @@ def test_integer_arguments_are_not_truncated(entry):
             fn(value)
 
 
+# the entries that take an order n or a half order k, with their bound
+ORDER_ARGUMENTS = {
+    "bracket_poles n": solver._MAX_ORDER,
+    "solve_spectrum": solver._MAX_ORDER,
+    "sine_ratio_even": solver._MAX_K,
+    "sine_ratio_odd": solver._MAX_K,
+    "innermost_eigenvalues": solver._MAX_K,
+    "eigenvalue_estimates k": solver._MAX_K,
+    "last_bracket_ratio": solver._MAX_K,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ORDER_ARGUMENTS))
+def test_orders_past_the_bound_are_refused(entry):
+    # a 401-digit order overflowed 2.0 * k or n - 1 into an OverflowError
+    fn, bound = INTEGER_ARGUMENTS[entry], ORDER_ARGUMENTS[entry]
+    for value in (bound + 1, 10 ** 400):
+        with pytest.raises(ValueError, match=r"must be <= %d, got %d$" % (bound, value)):
+            fn(value)
+
+
+def test_orders_up_to_the_bound_are_taken():
+    assert bracket_poles(solver._MAX_ORDER, 1)[0] == 0.0
+    assert bracket_poles(solver._MAX_ORDER, solver._MAX_K)[1] == math.pi
+    assert 0.0 < sine_ratio_even(1.0, solver._MAX_K) < 2.0
+    assert 0.0 < sine_ratio_odd(1.0, solver._MAX_K) < 2.0
+    assert eigenvalue_estimates(solver._MAX_K, 1)[:2] == (FORBIDDEN_HI, FORBIDDEN_LO)
+    # below the bound an argument still hears only of the lower end
+    with pytest.raises(ValueError, match="^k must be >= 2, got 1$"):
+        last_bracket_ratio(1)
+
+
 def test_bracket_error_carries_index(monkeypatch):
     # a residual above zero everywhere leaves bracket 5 without a sign change
     monkeypatch.setattr(solver, "_odd_residual", lambda theta, k, sign: math.inf)
     with pytest.raises(BracketRootError) as info:
-        _bracket_root(21, "positive", 5)
+        _bracket_root(21, 1, 5)
     assert info.value.bracket_index == 5
 
 
@@ -487,7 +544,7 @@ def _reference_brackets():
 def test_roots_match_mpmath_reference(n, branch, j):
     # the defining equation at 40 digits, solved from the float root
     k, sign = n // 2, (1 if branch == "positive" else -1)
-    theta = _bracket_root(n, branch, j)[0]
+    theta, lam_got = _bracket_root(n, sign, j)[:2]
     with mpmath.workdps(40):
 
         def lam(t):
@@ -505,7 +562,6 @@ def test_roots_match_mpmath_reference(n, branch, j):
         assert lo < root < hi
         assert abs(theta - root) <= 2 * math.ulp(theta)
         lam_ref = lam(root)
-        lam_got = branch_positive(theta) if sign > 0 else branch_negative(theta)
         # above k = 10^6 one ulp of theta alone moves lambda by more than 1e-10
         slope = branch_positive_derivative(theta)
         assert abs(lam_got - lam_ref) <= max(1e-10 * abs(lam_ref), 2 * math.ulp(theta) * slope)
@@ -674,6 +730,45 @@ def test_witness_gap_is_open(target, expected):
             closure_witness(target, 1e-3)
     else:
         assert closure_witness(target, 1e-3) == expected
+
+
+_NO_WITNESS = "no witness order found for y=%r at epsilon=0.001 within supported range"
+
+
+@pytest.mark.parametrize("target, epsilon, even, odd", [
+    (FORBIDDEN_HI, 1e-3, (62, 0.20755108904310338), (61, 0.20758743145081515)),
+    (0.25, 1e-3, (662, 0.25019509135354845), (663, 0.25025195710457726)),
+    (0.25, 1e-2, (68, 0.2486970111162854), (73, 0.253044464882357)),
+    (1.0, 1e-3, (11100, 0.9995674827766889), (11095, 0.9999516565809379)),
+    (7.25, 1e-3, (374322, 7.24929761688334), (374297, 7.249781280867014)),
+    (20.0, 1e-3, (2637596, 19.99926375424112), (2637531, 19.999758654420713)),
+    (120.0, 1e-2, (9123618, 119.99252761761254), (9123997, 119.99753277230829)),
+    (120.0, 1e-3, _NO_WITNESS % 120.0, _NO_WITNESS % 120.0),
+    (FORBIDDEN_LO, 1e-3, (62, -1.20757185363497), (61, -1.2075656267766202)),
+    (-1.25, 1e-3, (662, -1.2503991325240218), (663, -1.2500489778371628)),
+    (-2.0, 1e-3, (11100, -2.0000266944057574), (11095, -1.99949230086363)),
+    (-2.0, 1e-2, (1120, -2.0005940702665272), (1123, -1.9945493878065992)),
+    (-3.5, 1e-3, (53448, -3.4998449660486917), (53439, -3.4993676873387813)),
+    (-20.0, 1e-3, (2386116, -19.999774214434787), (2386177, -19.999272570642567)),
+    (-120.0, 1e-2, (8972818, -119.99752157824236), (8973193, -119.99251715135213)),
+    (-120.0, 1e-3, _NO_WITNESS % -120.0, _NO_WITNESS % -120.0),
+])
+def test_witness_orders_are_pinned(target, epsilon, even, odd):
+    # "any" gives the even witness; the error rows need k past 2^23
+    for parity, expected in (("any", even), ("even", even), ("odd", odd)):
+        if isinstance(expected, str):
+            with pytest.raises(RuntimeError, match="^%s$" % re.escape(expected)):
+                closure_witness(target, epsilon, parity)
+        else:
+            assert closure_witness(target, epsilon, parity) == expected
+
+
+def test_witness_checks_its_own_bound(monkeypatch):
+    # a root from the wrong bracket must not pass as a witness
+    solve = solver._bracket_root
+    monkeypatch.setattr(solver, "_bracket_root", lambda n, sign, j: solve(n, sign, 1))
+    with pytest.raises(RuntimeError, match="witness bound violated"):
+        closure_witness(7.25, 1e-2)
 
 
 def test_witness_rejects_gap_and_bad_epsilon():
