@@ -8,7 +8,7 @@ returns a CheckResult; a FAIL names the order (and pair index j) at fault,
 oracle-equivalence its largest difference.  solver, oracle and graphs are
 looked up as module attributes at call time because perfbench/tracer.py
 wraps these calls by rebinding those attributes (tests rebind them too);
-ROADMAP item 6, counters on the results, retires that constraint.
+ROADMAP item 7, counters on the results, retires that constraint.
 """
 
 from __future__ import annotations

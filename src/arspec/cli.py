@@ -58,23 +58,15 @@ def _write_out(path: str, mode: str, text: str) -> None:
         raise ValueError("cannot write --out %s: %s" % (path, exc.strerror or exc))
 
 
-def _check_out(args) -> None:
-    """Fail fast when --out cannot be opened for writing.  Verbs call this
-    after their own argument checks and before the costly work; append mode
-    leaves an existing file as it is until _emit replaces it, and a file the
-    probe creates is removed at once, so a run that fails leaves none."""
-    if args.out:
-        fresh = not os.path.lexists(args.out)
-        _write_out(args.out, "a", "")
-        if fresh:
-            os.remove(args.out)
-
-
-def _emit(args, text: str) -> None:
-    if args.out:
-        _write_out(args.out, "w", text)
-    else:
-        sys.stdout.write(text)
+def _check_out(path: str) -> None:
+    """Fail fast when --out cannot be opened for writing, before any work.
+    Append mode leaves an existing file as it is, and a file the probe
+    creates is removed at once (through a dangling symlink, that is the
+    link's target), so a run that fails leaves none."""
+    fresh = not os.path.exists(path)
+    _write_out(path, "a", "")
+    if fresh:
+        os.remove(os.path.realpath(path))
 
 
 def _csv(rows: list[str]) -> str:
@@ -85,12 +77,11 @@ def _index_csv(eigenvalues) -> str:
     return _csv(["index,lambda"] + ["%d,%r" % (i, v) for i, v in enumerate(eigenvalues)])
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args) -> tuple[str, str | None]:
     if args.method == "cheb":
         _checked_int("spectrum --n", args.n, 2, _MAX_ORDER)
     else:  # the dense oracle is capped
         _checked_int("spectrum --method %s --n" % args.method, args.n, 2, DENSE_MAX_ORDER)
-    _check_out(args)
     result = dense = None
     if args.method in ("cheb", "both"):
         result = solver.solve_spectrum(args.n)
@@ -99,12 +90,10 @@ def cmd_spectrum(args) -> int:
         dense = oracle.jacobi_eigenvalues(a).eigenvalues
 
     if args.method == "cheb":
-        _emit(args, result.to_json() + "\n" if args.format == "json" else result.to_csv())
-        return EXIT_OK
+        return (result.to_json() + "\n" if args.format == "json" else result.to_csv()), None
     if args.method == "dense":
         text = json.dumps({"n": args.n, "eigenvalues": dense}) + "\n"
-        _emit(args, text if args.format == "json" else _index_csv(dense))
-        return EXIT_OK
+        return (text if args.format == "json" else _index_csv(dense)), None
 
     cheb = result.eigenvalues()
     deltas = [abs(c - d) for c, d in zip(cheb, dense)]
@@ -117,26 +106,21 @@ def cmd_spectrum(args) -> int:
             "deltas": deltas,
             "max_delta": max_delta,
         }
-        _emit(args, json.dumps(payload) + "\n")
+        text = json.dumps(payload) + "\n"
     else:
         rows = ["index,lambda_cheb,lambda_dense,delta"]
         rows.extend(
             "%d,%r,%r,%r" % (i, c, d, abs(c - d))
             for i, (c, d) in enumerate(zip(cheb, dense))
         )
-        _emit(args, _csv(rows))
+        text = _csv(rows)
     if max_delta > BOTH_TOL:
-        print(
-            "spectrum: solver/oracle disagreement %.3e exceeds %.1e"
-            % (max_delta, BOTH_TOL),
-            file=sys.stderr,
-        )
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+        return text, ("spectrum: solver/oracle disagreement %.3e exceeds %.1e"
+                      % (max_delta, BOTH_TOL))
+    return text, None
 
 
-def cmd_table1(args) -> int:
-    _check_out(args)
+def cmd_table1(args) -> tuple[str, str | None]:
     entries = []
     worst = 0.0
     for n in sorted(TABLE1_REFERENCE):
@@ -153,17 +137,16 @@ def cmd_table1(args) -> int:
             ],
             "max_abs_delta": worst,
         }
-        _emit(args, json.dumps(payload) + "\n")
+        text = json.dumps(payload) + "\n"
     else:
         rows = ["n,computed,reference,delta"]
         rows.extend("%d,%.10f,%.10f,%r" % e for e in entries)
-        _emit(args, _csv(rows))
-    return EXIT_OK if worst <= TABLE1_TOL else EXIT_CHECK_FAILED
+        text = _csv(rows)
+    return text, None if worst <= TABLE1_TOL else ""
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[str, str | None]:
     _checked_int("verify --n-max", args.n_max, 2, 500)
-    _check_out(args)
     spectra = {n: solver.solve_spectrum(n) for n in range(2, args.n_max + 1)}
     # the innermost pair of order 2k is bracket 1 of both branches, solved above
     innermost = {}
@@ -171,7 +154,7 @@ def cmd_verify(args) -> int:
         spec = spectra[2 * k]
         innermost[k] = (spec.positives[0], spec.negatives[0] if k > 1 else None)
     results = [
-        checks.oracle_equivalence(spectra, 0.0 if args.tamper else 1e-8),
+        checks.oracle_equivalence(spectra, 0.0 if args.tamper else BOTH_TOL),
         checks.forbidden_interval(spectra),
         checks.bracket_containment(spectra),
         checks.pair_symmetry_bound(spectra),
@@ -179,32 +162,23 @@ def cmd_verify(args) -> int:
         checks.laplacian_integer_spectrum(range(2, min(args.n_max, 50) + 1), 1e-6),
         checks.monotone_innermost(innermost),
     ]
-    _emit(args, "".join(r.line() + "\n" for r in results))
-    return EXIT_CHECK_FAILED if any(r.status == checks.FAIL for r in results) else EXIT_OK
+    failed = any(r.status == checks.FAIL for r in results)
+    return "".join(r.line() + "\n" for r in results), "" if failed else None
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args) -> tuple[str, str | None]:
     _checked_int("scan --n", args.n, 2, threshold.MAX_SCAN_ORDER)
     if args.workers is not None:
         _checked_int("scan --workers", args.workers, 1)
-    _check_out(args)
     report = threshold.omega_scan(args.n, workers=args.workers)
-    if args.format == "json":
-        _emit(args, report.to_json() + "\n")
-    else:
-        _emit(args, report.violations_to_csv())
-    failed = False
+    text = report.to_json() + "\n" if args.format == "json" else report.violations_to_csv()
+    failures = []
     if args.check in ("omega", "both") and report.omega_violations:
-        print(
-            "scan: %d forbidden-interval violations at n=%d"
-            % (len(report.omega_violations), args.n),
-            file=sys.stderr,
-        )
-        failed = True
+        failures.append("scan: %d forbidden-interval violations at n=%d"
+                        % (len(report.omega_violations), args.n))
     if args.check in ("extremal", "both") and not report.extremes_attained():
-        print("scan: extremes not attained by the anti-regular graph", file=sys.stderr)
-        failed = True
-    return EXIT_CHECK_FAILED if failed else EXIT_OK
+        failures.append("scan: extremes not attained by the anti-regular graph")
+    return text, "\n".join(failures) or None
 
 
 def _figure_theta(points: int) -> str:
@@ -240,21 +214,17 @@ def _figure_curves(k: int, points: int, parity: str) -> str:
     return _csv(rows)
 
 
-def cmd_figure_data(args) -> int:
+def cmd_figure_data(args) -> tuple[str, str | None]:
     # theta reads only --points and density only --k
     if args.which != "theta":
         _checked_int("%s --k" % args.verb, args.k, 2, _MAX_K)
     if args.which != "density":
         _checked_int("figure-data --points", args.points, 10)
-    _check_out(args)
     if args.which == "theta":
-        text = _figure_theta(args.points)
-    elif args.which in ("even-curves", "odd-curves"):
-        text = _figure_curves(args.k, args.points, args.which.split("-")[0])
-    else:  # density
-        text = _index_csv(solver.solve_spectrum(2 * args.k).eigenvalues())
-    _emit(args, text)
-    return EXIT_OK
+        return _figure_theta(args.points), None
+    if args.which in ("even-curves", "odd-curves"):
+        return _figure_curves(args.k, args.points, args.which.split("-")[0]), None
+    return _index_csv(solver.solve_spectrum(2 * args.k).eigenvalues()), None  # density
 
 
 def build_parser() -> _Parser:
@@ -265,12 +235,10 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True, help="number of vertices (>= 2)")
     p.add_argument("--method", choices=("cheb", "dense", "both"), default="cheb")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out", help="write output to this file instead of stdout")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("table1", help="last-bracket ratios vs reference values")
     p.add_argument("--format", choices=("json", "csv"), default="csv")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("verify", help="run spectral checks, one PASS/FAIL line each")
@@ -287,7 +255,6 @@ def build_parser() -> _Parser:
         help="negative control: force an impossible oracle tolerance so the"
         " equivalence check must fail",
     )
-    p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("scan", help="exhaustive connected-threshold-graph scan")
@@ -298,7 +265,6 @@ def build_parser() -> _Parser:
                    help="accepted and validated (>= 1); the scan is one"
                    " vectorised pass either way")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("figure-data", help="CSV curve samples for plotting")
@@ -311,24 +277,36 @@ def build_parser() -> _Parser:
                    help="half-order parameter (>= 2), for the curves and density")
     p.add_argument("--points", type=int, default=512,
                    help="sample count (>= 10), for theta and the curves")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_figure_data)
 
     p = sub.add_parser("density", help="shorthand for figure-data --which density")
     p.add_argument("--k", type=int, default=8, help="half-order parameter (>= 2)")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_figure_data, which="density")
 
+    for p in sub.choices.values():
+        p.add_argument("--out", help="write output to this file instead of stdout")
     return parser
 
 
 def main(argv=None) -> int:
+    """Parse, open --out, run the verb, write its text, then report: a verb
+    returns (text, failure), failure None when its checks passed and
+    otherwise the stderr message ("" when the text already shows it)."""
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        if args.out is not None:
+            _check_out(args.out)
+        text, failure = args.func(args)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            _write_out(args.out, "w", text)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
+    if failure:
+        print(failure, file=sys.stderr)
+    return EXIT_OK if failure is None else EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

@@ -305,5 +305,5 @@ def omega_scan(n: int, workers: int | None = None) -> ScanReport:
 
 
 # kept because perfbench/tracer.py wraps this name, until it reads result
-# counters (ROADMAP item 6); the extremal statement is omega_scan's report
+# counters (ROADMAP item 7); the extremal statement is omega_scan's report
 extremal_scan = omega_scan

@@ -4,6 +4,9 @@ output shapes rather than library internals."""
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -337,6 +340,28 @@ def test_out_unwritable_is_usage_error(tmp_path, capsys):
     assert err == "error: cannot write --out %s: No such file or directory\n" % target
 
 
+def test_empty_out_is_usage_error(capsys):
+    # --out "$UNSET" once fell through to stdout
+    assert run(capsys, "spectrum", "--n", "3", "--out", "") == (
+        EXIT_USAGE, "", "error: cannot write --out : No such file or directory\n")
+
+
+def test_out_error_comes_before_range_errors(capsys):
+    code, out, err = run(capsys, "spectrum", "--n", "1", "--out", "/nonexistent/d/x.json")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: cannot write --out /nonexistent/d/x.json:")
+
+
+@pytest.mark.parametrize("verb", ["spectrum", "table1", "verify", "scan", "figure-data",
+                                  "density"])
+def test_every_verb_help_describes_out(capsys, verb):
+    with pytest.raises(SystemExit) as exit_info:
+        main([verb, "--help"])
+    assert exit_info.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())  # argparse wraps to the terminal
+    assert "--out OUT write output to this file instead of stdout" in help_text
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_out_write_failure_is_usage_error(capsys):
     code, out, err = run(capsys, "table1", "--out", "/dev/full")
@@ -397,3 +422,48 @@ def test_failed_work_leaves_out_alone(tmp_path, monkeypatch, capsys):
     with pytest.raises(KeyboardInterrupt):
         main(["spectrum", "--n", "8", "--out", str(kept)])
     assert kept.read_text() == "earlier output\n"
+
+
+def test_failed_work_leaves_a_dangling_out_link_dangling(tmp_path, monkeypatch, capsys):
+    # the probe creates the link's target; it must remove that, not the link
+    link = tmp_path / "link.json"
+    target = tmp_path / "target.json"
+    os.symlink("target.json", link)
+
+    def broken(n):
+        raise ValueError("broken solver")
+
+    monkeypatch.setattr(solver, "solve_spectrum", broken)
+    assert run(capsys, "spectrum", "--n", "8", "--out", str(link)) == (
+        EXIT_USAGE, "", "error: broken solver\n")
+    assert link.is_symlink() and not target.exists()
+
+    def interrupted(n):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(solver, "solve_spectrum", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["spectrum", "--n", "8", "--out", str(link)])
+    assert link.is_symlink() and not target.exists()
+
+    monkeypatch.undo()  # a run that succeeds writes through the link
+    assert run(capsys, "spectrum", "--n", "8", "--out", str(link)) == (EXIT_OK, "", "")
+    assert link.is_symlink() and json.loads(target.read_text())["n"] == 8
+
+
+def test_python_m_arspec_sets_the_exit_code():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+    def arspec(*argv):
+        proc = subprocess.run([sys.executable, "-m", "arspec", *argv], capture_output=True,
+                              text=True, env=env, timeout=120)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    code, out, err = arspec("spectrum", "--n", "4")
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(out)["n"] == 4
+    code, out, _ = arspec("verify", "--n-max", "4", "--tamper")
+    assert code == EXIT_CHECK_FAILED
+    assert "\noracle-equivalence: FAIL" in "\n" + out
+    assert arspec("spectrum", "--n", "1") == (
+        EXIT_USAGE, "", "error: spectrum --n must be >= 2, got 1\n")
