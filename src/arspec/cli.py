@@ -17,7 +17,9 @@ import argparse
 import json
 import math
 import os
+import stat
 import sys
+import tempfile
 
 from . import checks, graphs, oracle, solver, threshold
 from .solver import _MAX_K, _MAX_ORDER, _checked_int
@@ -48,6 +50,10 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+def _out_error(path: str, exc: OSError) -> ValueError:
+    return ValueError("cannot write --out %s: %s" % (path, exc.strerror or exc))
+
+
 def _write_out(path: str, mode: str, text: str) -> None:
     # open, write and close in one guard: some targets (/dev/full) open
     # fine and fail only at the write or the close
@@ -55,7 +61,48 @@ def _write_out(path: str, mode: str, text: str) -> None:
         with open(path, mode, newline="") as fh:
             fh.write(text)
     except OSError as exc:
-        raise ValueError("cannot write --out %s: %s" % (path, exc.strerror or exc))
+        raise _out_error(path, exc)
+
+
+def _replace_out(path: str, text: str) -> None:
+    """Write the verb's text to --out.  A regular file at the end of path's
+    symlinks, or a new one, is replaced whole: the text goes to a temporary
+    file in the same directory, with the old file's permission bits (0o666
+    less the umask for a new one), and is then renamed over it, so a write
+    that fails leaves the old file whole and no temporary file.  Devices,
+    FIFOs and paths under /dev or /proc (/dev/stdout is an open stream,
+    whatever it points at) are written in place, and so is a file whose
+    directory takes no new file."""
+    target = os.path.realpath(path)
+    try:
+        info = os.stat(target)
+    except OSError:
+        info = None
+    if (info is not None and not stat.S_ISREG(info.st_mode)
+            or os.path.abspath(path).startswith(("/dev/", "/proc/"))):
+        return _write_out(path, "w", text)
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target),
+                                   prefix="." + os.path.basename(target) + ".")
+    except OSError:
+        return _write_out(path, "w", text)
+    try:
+        try:
+            with os.fdopen(fd, "w", newline="") as fh:
+                fh.write(text)
+            os.chmod(tmp, stat.S_IMODE(info.st_mode) if info else 0o666 & ~_umask())
+            os.replace(tmp, target)
+        except BaseException:
+            os.remove(tmp)
+            raise
+    except OSError as exc:
+        raise _out_error(path, exc)
+
+
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
 
 
 def _check_out(path: str) -> None:
@@ -300,7 +347,7 @@ def main(argv=None) -> int:
         if args.out is None:
             sys.stdout.write(text)
         else:
-            _write_out(args.out, "w", text)
+            _replace_out(args.out, text)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

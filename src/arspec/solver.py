@@ -29,9 +29,12 @@ bracket from that known sign, never evaluating an end, until the
 floating-point midpoint collides with an end, so the residual is limited
 only by evaluation noise.  No step cap is needed: each step moves an end to
 a double strictly inside the bracket, so fewer doubles remain every time.
-The residual is one function per parity, built from one cos(theta / 2) with
-the float operations of the public functions; the bisection looks it up at
-call time, so a test can inject a fault, and counts its evaluations.
+One kernel bisects every listed bracket of one order and branch, with the
+residual written out inside its loop from one cos(theta / 2) and the float
+operations of the public functions in their order, so each residual equals
+the sine ratio minus the branch curve taken through those functions, bit
+for bit.  It counts its evaluations and takes each bracket from
+bracket_poles.
 
 Everything is plain float arithmetic with two guards on sin(k theta),
 whose naive product loses about log2(k) bits of the angle: above pi/2 the
@@ -72,13 +75,17 @@ _TWO_PI_INT = (628318530717958647692528676655900576839433879875021164194989
 class BracketRootError(RuntimeError):
     """A bracket failed to produce the expected root.
 
-    Carries ``bracket_index`` (1-based, or None) so callers can report which
-    interval between consecutive poles went wrong.
+    Carries ``bracket_index`` (1-based), ``order`` and ``sign`` (1 for the
+    positive branch, -1 for the negative one), each None when unknown, so
+    callers can report which interval between consecutive poles went wrong.
     """
 
-    def __init__(self, message: str, bracket_index: int | None = None):
+    def __init__(self, message: str, bracket_index: int | None = None,
+                 order: int | None = None, sign: int | None = None):
         super().__init__(message)
         self.bracket_index = bracket_index
+        self.order = order
+        self.sign = sign
 
 
 def bracket_poles(n: int, j: int) -> tuple[float, float]:
@@ -256,76 +263,90 @@ def odd_ratio_negative(theta: float) -> float:
 # root isolation
 
 
-def _even_residual(theta: float, k: int, sign: int) -> float:
-    # sine_ratio_even(theta, k) minus branch_positive (sign 1) or
-    # branch_negative (sign -1), for theta inside (0, pi): the same float
-    # operations in the same order as those calls, from one cos(theta / 2)
-    half = 0.5 * theta
-    c = math.cos(half)
-    c1 = 2.0 * c * c
-    curve = 0.5 * (sign * math.sqrt((c1 + 2.0) / c1) - 1.0)
-    if half == 0.0:  # theta = 5e-324
-        return k / (2.0 * k - 1.0) - curve
-    m = 2 * k - 1  # half <= pi/2: _sin_mult's direct product unless m is big
-    s = math.sin(m * half) if m <= _DIRECT_MULT_LIMIT else _sin_mult(m, half)
-    return _sin_mult(k, theta) / (2.0 * s * c) - curve
-
-
-def _odd_residual(theta: float, k: int, sign: int) -> float:
-    # sine_ratio_odd(theta, k) minus odd_ratio_positive (sign 1) or
-    # odd_ratio_negative (sign -1), for theta inside (0, pi), likewise
-    c = math.cos(0.5 * theta)
-    c1 = 2.0 * c * c
-    curve = 3.0 * c1 - 1.0 + sign * math.sqrt(c1 * (c1 + 2.0))
-    return _sin_mult(k - 1, theta) / _sin_mult(k, theta) - curve
-
-
-def _bracket_root(n: int, sign: int, j: int) -> tuple[float, float, float, int]:
-    """The order-n root in bracket j on the branch of ``sign``, as the record
-    (theta, lam, |residual|, evaluations).
+def _bracket_roots(n: int, sign: int, js) -> tuple[list, list, list, list]:
+    """The order-n roots in the brackets ``js`` on the branch of ``sign``, as
+    four columns: angles, eigenvalues, |residuals| and evaluation counts.
 
     sign 1 is the positive branch, lam = branch_positive(theta), and sign -1
     the negative one, lam = branch_negative(theta); the branch curve is
     applied here and nowhere else.  The residual is the sine ratio minus the
     branch curve (even n) or minus the branch image of
-    (2 - lambda^2) / (lambda (lambda + 1)) (odd n), one function per parity
-    built from one cos(theta / 2).  Next to the left end of
-    bracket_poles(n, j) it is positive for even n (R(0) - B(0) > 0 in
-    bracket 1, the ratio tends to +inf past each pole) and negative for odd
-    n; next to the right end it has the other sign (the ratio tends to -inf
-    or +inf before a pole; at pi the odd residual is 1/k and the positive
-    even branch tends to +inf).  The whole bracket is bisected from that
+    (2 - lambda^2) / (lambda (lambda + 1)) (odd n), written out in the loop
+    from one cos(theta / 2) with the float operations of the public
+    functions in the same order, so it equals sine_ratio_even(theta, k) -
+    branch_positive(theta) and its three siblings bit for bit.  Next to the
+    left end of bracket_poles(n, j) it is positive for even n (R(0) - B(0) >
+    0 in bracket 1, the ratio tends to +inf past each pole) and negative for
+    odd n; next to the right end it has the other sign (the ratio tends to
+    -inf or +inf before a pole; at pi the odd residual is 1/k and the
+    positive even branch tends to +inf).  Each bracket is bisected from that
     sign without evaluating either end, until the midpoint collides with an
     end.  That needs no step cap: a midpoint strictly inside (a, b) becomes
     one of its ends, so each step leaves strictly fewer doubles inside the
     bracket (no bracket took more than 54 evaluations, at orders up to
     10^5 + 1 or k up to 2^23 + 1).  An end that never moved means no sign
-    change and raises BracketRootError.  The residual is looked up when the
-    call runs, so a test can replace it to force that error.
+    change and raises BracketRootError.
     """
+    sin, cos, sqrt, sin_mult = math.sin, math.cos, math.sqrt, _sin_mult
+    pi, half_pi, pi_lo = math.pi, _HALF_PI, _PI_LO
     k, odd = n // 2, n % 2 == 1
-    fn = _odd_residual if odd else _even_residual
-    a, b = bracket_poles(n, j)
-    fa = fb = None
-    evals = 0
-    mid = 0.5 * (a + b)
-    while a < mid < b:
-        fm = fn(mid, k, sign)
-        evals += 1
-        if fm == 0.0:
-            theta, resid = mid, 0.0
-            break
-        if (fm < 0.0) == odd:  # the sign next to the left end
-            a, fa = mid, fm
-        else:
-            b, fb = mid, fm
+    # the ratio is sin(p x) / sin(k theta) at odd order, with x = theta, and
+    # sin(k theta) / (2 sin(p x) cos(x)) at even order, with x = theta / 2
+    p = k - 1 if odd else 2 * k - 1
+    big = max(k, p) > _DIRECT_MULT_LIMIT
+    kf, pf = float(k), float(p)
+    # above pi/2, sin(j theta) = (-1)^(j+1) sin(j (pi - theta)), as in _sin_mult
+    flip_k, flip_p = k % 2 == 0, p % 2 == 0
+    branch = branch_positive if sign > 0 else branch_negative
+    sg = 1.0 if sign > 0 else -1.0  # sign as a float: the same products, faster
+    thetas, lams, resids, counts = [], [], [], []
+    for j in js:
+        a, b = bracket_poles(n, j)
+        fa = fb = None
+        evals = 0
         mid = 0.5 * (a + b)
-    else:
-        if fa is None or fb is None:
-            raise BracketRootError("no sign change in bracket %d of order %d" % (j, n), j)
-        theta, resid = (a, abs(fa)) if abs(fa) <= abs(fb) else (b, abs(fb))
-    lam = branch_positive(theta) if sign > 0 else branch_negative(theta)
-    return theta, lam, resid, evals
+        while a < mid < b:
+            half = 0.5 * mid
+            c = cos(half)
+            c1 = 2.0 * c * c
+            x = mid if odd else half
+            if big:
+                sk, sp = sin_mult(k, mid), sin_mult(p, x)
+            elif mid <= half_pi:
+                sk, sp = sin(kf * mid), sin(pf * x)
+            else:
+                sup = (pi - mid) + pi_lo
+                sk = -sin(kf * sup) if flip_k else sin(kf * sup)
+                if odd:
+                    sp = -sin(pf * sup) if flip_p else sin(pf * sup)
+                else:
+                    sp = sin(pf * half)
+            if odd:
+                fm = sp / sk - (3.0 * c1 - 1.0 + sg * sqrt(c1 * (c1 + 2.0)))
+            elif half == 0.0:  # theta = 5e-324
+                fm = k / (2.0 * k - 1.0) - 0.5 * (sg * sqrt((c1 + 2.0) / c1) - 1.0)
+            else:
+                fm = sk / (2.0 * sp * c) - 0.5 * (sg * sqrt((c1 + 2.0) / c1) - 1.0)
+            evals += 1
+            if fm == 0.0:
+                theta, resid = mid, 0.0
+                break
+            if (fm < 0.0) == odd:  # the sign next to the left end
+                a, fa = mid, fm
+            else:
+                b, fb = mid, fm
+            mid = 0.5 * (a + b)
+        else:
+            if fa is None or fb is None:
+                raise BracketRootError(
+                    "no sign change in bracket %d of order %d on the %s branch"
+                    % (j, n, "positive" if sign > 0 else "negative"), j, n, sign)
+            theta, resid = (a, abs(fa)) if abs(fa) <= abs(fb) else (b, abs(fb))
+        thetas.append(theta)
+        lams.append(branch(theta))
+        resids.append(resid)
+        counts.append(evals)
+    return thetas, lams, resids, counts
 
 
 # ---------------------------------------------------------------------------
@@ -398,13 +419,8 @@ def solve_spectrum(n: int) -> SpectrumResult:
     not happen for any supported order.
     """
     n = _checked_int("n", n, 2, _MAX_ORDER)
-
-    def columns(sign: int, brackets: int) -> list[list]:
-        roots = [_bracket_root(n, sign, j) for j in range(1, brackets + 1)]
-        return [[root[i] for root in roots] for i in range(4)]
-
-    thetas_pos, positives, residuals_pos, evals_pos = columns(1, n // 2)
-    thetas_neg, negatives, residuals_neg, evals_neg = columns(-1, (n - 1) // 2)
+    thetas_pos, positives, residuals_pos, evals_pos = _bracket_roots(n, 1, range(1, n // 2 + 1))
+    thetas_neg, negatives, residuals_neg, evals_neg = _bracket_roots(n, -1, range(1, (n + 1) // 2))
     return SpectrumResult(
         n=n, trivial=0.0 if n % 2 else -1.0, positives=positives, negatives=negatives,
         thetas_pos=thetas_pos, thetas_neg=thetas_neg,
@@ -432,7 +448,7 @@ def last_bracket_ratio(k: int) -> float:
     """
     k = _checked_int("k", k, 2, _MAX_K)
     lo, hi = bracket_poles(2 * k, k)
-    return (_bracket_root(2 * k, 1, k)[0] - lo) / (hi - lo)
+    return (_bracket_roots(2 * k, 1, [k])[0][0] - lo) / (hi - lo)
 
 
 def innermost_eigenvalues(k: int) -> tuple[float, float | None]:
@@ -444,8 +460,8 @@ def innermost_eigenvalues(k: int) -> tuple[float, float | None]:
     root, reported as None.
     """
     k = _checked_int("k", k, 1, _MAX_K)
-    lam_pos = _bracket_root(2 * k, 1, 1)[1]
-    return lam_pos, (None if k == 1 else _bracket_root(2 * k, -1, 1)[1])
+    lam_pos = _bracket_roots(2 * k, 1, [1])[1][0]
+    return lam_pos, (None if k == 1 else _bracket_roots(2 * k, -1, [1])[1][0])
 
 
 def eigenvalue_estimates(k: int, j: int) -> tuple[float, float, float]:
@@ -521,7 +537,7 @@ def closure_witness(
             lo_k = mid
         else:
             k, j = mid, found
-    mu = _bracket_root(2 * k + odd, 1 if y > 0.0 else -1, j)[1]
+    mu = _bracket_roots(2 * k + odd, 1 if y > 0.0 else -1, [j])[1][0]
     if not abs(mu - y) < epsilon:
         raise RuntimeError("witness bound violated: |%r - %r| >= %r" % (mu, y, epsilon))
     return 2 * k + odd, mu

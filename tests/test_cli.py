@@ -369,6 +369,111 @@ def test_out_write_failure_is_usage_error(capsys):
     assert err == "error: cannot write --out /dev/full: No space left on device\n"
 
 
+def _arspec_env():
+    return dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+
+# main in a child process whose files may not grow past 64 bytes
+_SMALL_FILES = """
+import resource, signal, sys
+from arspec.cli import main
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (64, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs RLIMIT_FSIZE")
+def test_failed_write_keeps_the_old_out_whole(tmp_path):
+    kept = tmp_path / "kept.csv"
+    kept.write_bytes(b"earlier output, 38 bytes long........\n")
+    proc = subprocess.run([sys.executable, "-c", _SMALL_FILES, "table1", "--out", str(kept)],
+                          capture_output=True, text=True, env=_arspec_env(), timeout=120)
+    assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
+    assert proc.stderr == "error: cannot write --out %s: File too large\n" % kept
+    assert kept.read_bytes() == b"earlier output, 38 bytes long........\n"
+    assert os.listdir(tmp_path) == ["kept.csv"]
+
+
+def test_failed_rename_keeps_the_old_out_whole(tmp_path, monkeypatch, capsys):
+    kept = tmp_path / "kept.csv"
+    kept.write_text("earlier output\n")
+
+    def refused(src, dst):
+        raise OSError(18, "Invalid cross-device link")
+
+    monkeypatch.setattr(cli.os, "replace", refused)
+    assert run(capsys, "table1", "--out", str(kept)) == (
+        EXIT_USAGE, "", "error: cannot write --out %s: Invalid cross-device link\n" % kept)
+
+    def interrupted(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli.os, "replace", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["table1", "--out", str(kept)])
+    monkeypatch.undo()
+    assert kept.read_text() == "earlier output\n"
+    assert os.listdir(tmp_path) == ["kept.csv"]
+
+
+def test_out_keeps_permission_bits(tmp_path, capsys):
+    kept = tmp_path / "kept.json"
+    kept.write_text("earlier output\n")
+    kept.chmod(0o604)
+    assert run(capsys, "spectrum", "--n", "4", "--out", str(kept))[0] == EXIT_OK
+    assert (kept.stat().st_mode & 0o777, json.loads(kept.read_text())["n"]) == (0o604, 4)
+    mask = os.umask(0o027)
+    try:
+        assert run(capsys, "spectrum", "--n", "4", "--out", str(tmp_path / "new.json"))[0] == 0
+    finally:
+        os.umask(mask)
+    assert (tmp_path / "new.json").stat().st_mode & 0o777 == 0o640  # not mkstemp's 0o600
+
+
+def test_symlinked_out_updates_its_target(tmp_path, capsys):
+    (tmp_path / "data").mkdir()
+    target = tmp_path / "data" / "target.json"
+    target.write_text("earlier output\n")
+    link = tmp_path / "link.json"
+    os.symlink(os.path.join("data", "target.json"), link)
+    assert run(capsys, "spectrum", "--n", "6", "--out", str(link)) == (EXIT_OK, "", "")
+    assert link.is_symlink() and os.readlink(link) == os.path.join("data", "target.json")
+    assert json.loads(target.read_text())["n"] == 6
+    assert sorted(os.listdir(tmp_path)) == ["data", "link.json"]
+    assert os.listdir(tmp_path / "data") == ["target.json"]
+
+
+def test_out_is_written_in_place_where_no_file_can_be_added(tmp_path, monkeypatch, capsys):
+    # a writable file in a directory that takes no new file is still written
+    kept = tmp_path / "kept.json"
+    kept.write_text("earlier output\n")
+    before = kept.stat().st_ino
+
+    def refused(**kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(cli.tempfile, "mkstemp", refused)
+    assert run(capsys, "spectrum", "--n", "4", "--out", str(kept)) == (EXIT_OK, "", "")
+    assert kept.stat().st_ino == before and json.loads(kept.read_text())["n"] == 4
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_out_dev_stdout_is_written_in_place(tmp_path):
+    # stdout is a regular file here; --out /dev/stdout writes into that open
+    # file rather than renaming a new one over its path
+    sink = tmp_path / "stdout.json"
+    with open(sink, "w") as fh:
+        before = os.fstat(fh.fileno()).st_ino
+        proc = subprocess.run([sys.executable, "-m", "arspec", "spectrum", "--n", "4", "--out",
+                               "/dev/stdout"], stdout=fh, stderr=subprocess.PIPE, text=True,
+                              env=_arspec_env(), timeout=120)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    assert sink.stat().st_ino == before
+    assert json.loads(sink.read_text())["n"] == 4
+    assert os.listdir(tmp_path) == ["stdout.json"]
+
+
 def test_out_unwritable_fails_before_the_work(monkeypatch, capsys):
     def no_solve(n):
         raise AssertionError("solver ran before --out was opened")
@@ -452,7 +557,7 @@ def test_failed_work_leaves_a_dangling_out_link_dangling(tmp_path, monkeypatch, 
 
 
 def test_python_m_arspec_sets_the_exit_code():
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env = _arspec_env()
 
     def arspec(*argv):
         proc = subprocess.run([sys.executable, "-m", "arspec", *argv], capture_output=True,

@@ -26,7 +26,7 @@ from arspec.solver import (
     FORBIDDEN_HI,
     FORBIDDEN_LO,
     BracketRootError,
-    _bracket_root,
+    _bracket_roots,
     bracket_poles,
     branch_negative,
     branch_positive,
@@ -266,40 +266,182 @@ def test_odd_ratio_consistent_with_branches():
         assert odd_ratio_negative(theta) == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
+# --- the reference bisection ----------------------------------------------
+#
+# The one-bracket-at-a-time loop that _bracket_roots replaced, with one
+# residual function per parity.  The kernel writes the same float operations
+# out inside its loop, so every angle, eigenvalue, residual and evaluation
+# count must match these bit for bit.
+
+
+def _reference_even_residual(theta, k, sign):
+    half = 0.5 * theta
+    c = math.cos(half)
+    c1 = 2.0 * c * c
+    curve = 0.5 * (sign * math.sqrt((c1 + 2.0) / c1) - 1.0)
+    if half == 0.0:  # theta = 5e-324
+        return k / (2.0 * k - 1.0) - curve
+    m = 2 * k - 1  # half <= pi/2: _sin_mult's direct product unless m is big
+    s = math.sin(m * half) if m <= solver._DIRECT_MULT_LIMIT else solver._sin_mult(m, half)
+    return solver._sin_mult(k, theta) / (2.0 * s * c) - curve
+
+
+def _reference_odd_residual(theta, k, sign):
+    c = math.cos(0.5 * theta)
+    c1 = 2.0 * c * c
+    curve = 3.0 * c1 - 1.0 + sign * math.sqrt(c1 * (c1 + 2.0))
+    return solver._sin_mult(k - 1, theta) / solver._sin_mult(k, theta) - curve
+
+
+def _reference_bracket_root(n, sign, j, residuals=None):
+    # the record (theta, lam, |residual|, evaluations); residuals, if given,
+    # replaces the (even, odd) residual pair
+    k, odd = n // 2, n % 2 == 1
+    fn = (residuals or (_reference_even_residual, _reference_odd_residual))[odd]
+    a, b = solver.bracket_poles(n, j)
+    fa = fb = None
+    evals = 0
+    mid = 0.5 * (a + b)
+    while a < mid < b:
+        fm = fn(mid, k, sign)
+        evals += 1
+        if fm == 0.0:
+            theta, resid = mid, 0.0
+            break
+        if (fm < 0.0) == odd:
+            a, fa = mid, fm
+        else:
+            b, fb = mid, fm
+        mid = 0.5 * (a + b)
+    else:
+        if fa is None or fb is None:
+            raise BracketRootError("no sign change in bracket %d of order %d" % (j, n), j)
+        theta, resid = (a, abs(fa)) if abs(fa) <= abs(fb) else (b, abs(fb))
+    lam = branch_positive(theta) if sign > 0 else branch_negative(theta)
+    return theta, lam, resid, evals
+
+
+def _reference_roots(n, sign, js, residuals=None):
+    # the kernel's four columns, from the reference loop
+    records = [_reference_bracket_root(n, sign, j, residuals) for j in js]
+    return tuple([record[i] for record in records] for i in range(4))
+
+
+def _bits(values):
+    # one repr per value, flattened: repr tells -0.0 from 0.0 and keeps every
+    # digit of a double, and a failure shows the first value that differs
+    if isinstance(values, (list, tuple)):
+        return [bits for value in values for bits in _bits(value)]
+    return [repr(values)]
+
+
 # Small half orders, those where 2k - 1 crosses the direct-product limit, and larger ones
 _RESIDUAL_KS = (1, 2, 3, 499_999, 500_000, 500_001, 500_002, 10**6 + 1, 5_098_402)
 
 
 @pytest.mark.parametrize("k", _RESIDUAL_KS)
 def test_residuals_equal_the_layered_expressions(k):
-    # the bisection's residuals are bit for bit the public ratio minus curve
+    # the reference residuals are bit for bit the public ratio minus curve
     rng = random.Random(k)
     thetas = [rng.uniform(0.0, 0.5 * math.pi) for _ in range(60)]
     thetas += [rng.uniform(0.5 * math.pi, math.pi) for _ in range(60)]
     thetas += [5e-324, 1e-300, 0.5 * math.pi, math.nextafter(math.pi, 0.0)]
     for theta in thetas:
-        assert solver._odd_residual(theta, k, 1) == (
+        assert _reference_odd_residual(theta, k, 1) == (
             sine_ratio_odd(theta, k) - odd_ratio_positive(theta)), theta
-        assert solver._odd_residual(theta, k, -1) == (
+        assert _reference_odd_residual(theta, k, -1) == (
             sine_ratio_odd(theta, k) - odd_ratio_negative(theta)), theta
-        assert solver._even_residual(theta, k, 1) == (
+        assert _reference_even_residual(theta, k, 1) == (
             sine_ratio_even(theta, k) - branch_positive(theta)), theta
-        assert solver._even_residual(theta, k, -1) == (
+        assert _reference_even_residual(theta, k, -1) == (
             sine_ratio_even(theta, k) - branch_negative(theta)), theta
 
 
-def test_evaluation_counters_count_every_residual(monkeypatch):
+def test_evaluation_counters_count_every_residual():
+    # the reference loop's residual calls, counted, against the kernel's counters
     calls = []
-    for name in ("_even_residual", "_odd_residual"):
-        def counted(theta, k, sign, fn=getattr(solver, name)):
+
+    def counted(fn):
+        def residual(theta, k, sign):
             calls.append(theta)
             return fn(theta, k, sign)
-        monkeypatch.setattr(solver, name, counted)
+        return residual
+
+    residuals = (counted(_reference_even_residual), counted(_reference_odd_residual))
     for n in [*range(2, 61), 1001]:
         calls.clear()
+        per_bracket = [*_reference_roots(n, 1, range(1, n // 2 + 1), residuals)[3],
+                       *_reference_roots(n, -1, range(1, (n + 1) // 2), residuals)[3]]
         spec = solve_spectrum(n)
-        assert spec.evaluations == len(calls) > 0, n
-        assert 0 < spec.most_evaluations <= spec.evaluations
+        assert spec.evaluations == len(calls) == sum(per_bracket) > 0, n
+        assert spec.most_evaluations == max(per_bracket), n
+
+
+# orders 2..400 in one group, then the larger ones one by one
+_KERNEL_ORDERS = (tuple(range(2, 401)), (1001,), (4001,), (10**4,), (10**4 + 1,))
+
+
+@pytest.mark.parametrize("orders", _KERNEL_ORDERS, ids=["2-400", "1001", "4001", "10000", "10001"])
+def test_solve_spectrum_matches_the_reference_loop(orders):
+    for n in orders:
+        spec = solve_spectrum(n)
+        pos = _reference_roots(n, 1, range(1, n // 2 + 1))
+        neg = _reference_roots(n, -1, range(1, (n + 1) // 2))
+        got = (spec.thetas_pos, spec.positives, spec.residuals_pos,
+               spec.thetas_neg, spec.negatives, spec.residuals_neg)
+        assert _bits(got) == _bits(pos[:3] + neg[:3]), n
+        assert spec.evaluations == sum(pos[3] + neg[3]), n
+        assert spec.most_evaluations == max(pos[3] + neg[3]), n
+
+
+def _outcome(solve, n, sign):
+    # the columns of one bracket, or the error's type and bracket index
+    try:
+        return _bits(solve(n, sign, [1]))
+    except BracketRootError as exc:
+        return type(exc), exc.bracket_index
+
+
+@pytest.mark.parametrize("span", [(0.0, math.pi), (0.0, 1e-323), (1e-300, 0.5 * math.pi),
+                                  (0.25 * math.pi, 0.75 * math.pi)])
+def test_spans_across_poles_match_the_reference_loop(monkeypatch, span):
+    # spans that no order's brackets give: the first midpoint is pi/2 itself,
+    # or 5e-324, whose half rounds to 0; or the span holds several poles
+    monkeypatch.setattr(solver, "bracket_poles", lambda n, j: span)
+    for n in (2, 3, 8, 9, 40, 41, 1001, 1002, 2 * 10**6 + 4, 2 * 10**6 + 5):
+        for sign in (1, -1):
+            assert _outcome(_bracket_roots, n, sign) == _outcome(_reference_roots, n, sign), (
+                n, sign)
+
+
+# Table 1's half orders, then half orders whose sine multipliers pass 10^6
+_RATIO_KS = (125, 250, 500, 1000, 2000, 4000, 8000, 16000,
+             2_483_630, 5_098_402, 8 * 10**6, 2**23 + 1)
+
+
+@pytest.mark.parametrize("k", _RATIO_KS)
+def test_last_bracket_ratio_matches_the_reference_loop(k):
+    lo, hi = bracket_poles(2 * k, k)
+    want = (_reference_bracket_root(2 * k, 1, k)[0] - lo) / (hi - lo)
+    assert _bits(last_bracket_ratio(k)) == _bits(want)
+
+
+def test_innermost_eigenvalues_match_the_reference_loop():
+    for k in range(1, 301):
+        want = (_reference_bracket_root(2 * k, 1, 1)[1],
+                None if k == 1 else _reference_bracket_root(2 * k, -1, 1)[1])
+        assert _bits(innermost_eigenvalues(k)) == _bits(want), k
+
+
+def test_closure_witnesses_match_the_reference_loop(monkeypatch):
+    rng = random.Random(2026)
+    calls = []
+    for _ in range(300):
+        y = rng.uniform(0.2, 8.0) if rng.random() < 0.5 else -rng.uniform(1.2, 9.0)
+        calls.append((y, 10 ** rng.uniform(-4, -1), rng.choice(("any", "even", "odd"))))
+    got = [closure_witness(*call) for call in calls]
+    monkeypatch.setattr(solver, "_bracket_roots", _reference_roots)
+    assert _bits(got) == _bits([closure_witness(*call) for call in calls])
 
 
 def test_no_bracket_takes_more_than_54_evaluations():
@@ -471,11 +613,18 @@ def test_orders_up_to_the_bound_are_taken():
 
 
 def test_bracket_error_carries_index(monkeypatch):
-    # a residual above zero everywhere leaves bracket 5 without a sign change
-    monkeypatch.setattr(solver, "_odd_residual", lambda theta, k, sign: math.inf)
-    with pytest.raises(BracketRootError) as info:
-        _bracket_root(21, 1, 5)
-    assert info.value.bracket_index == 5
+    # the left half of the span from a bracket's left pole to its root holds
+    # no sign change
+    for n, sign, j, branch in ((21, 1, 5, "positive"), (20, -1, 3, "negative")):
+        lo = bracket_poles(n, j)[0]
+        root = _bracket_roots(n, sign, [j])[0][0]
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "bracket_poles", lambda n, j: (lo, 0.5 * (lo + root)))
+            with pytest.raises(BracketRootError) as info:
+                _bracket_roots(n, sign, [j])
+        assert (info.value.bracket_index, info.value.order, info.value.sign) == (j, n, sign)
+        assert str(info.value) == (
+            "no sign change in bracket %d of order %d on the %s branch" % (j, n, branch))
 
 
 def test_single_bracket_entry_points_match_full_solve():
@@ -544,7 +693,7 @@ def _reference_brackets():
 def test_roots_match_mpmath_reference(n, branch, j):
     # the defining equation at 40 digits, solved from the float root
     k, sign = n // 2, (1 if branch == "positive" else -1)
-    theta, lam_got = _bracket_root(n, sign, j)[:2]
+    (theta,), (lam_got,) = _bracket_roots(n, sign, [j])[:2]
     with mpmath.workdps(40):
 
         def lam(t):
@@ -765,8 +914,8 @@ def test_witness_orders_are_pinned(target, epsilon, even, odd):
 
 def test_witness_checks_its_own_bound(monkeypatch):
     # a root from the wrong bracket must not pass as a witness
-    solve = solver._bracket_root
-    monkeypatch.setattr(solver, "_bracket_root", lambda n, sign, j: solve(n, sign, 1))
+    solve = solver._bracket_roots
+    monkeypatch.setattr(solver, "_bracket_roots", lambda n, sign, js: solve(n, sign, [1]))
     with pytest.raises(RuntimeError, match="witness bound violated"):
         closure_witness(7.25, 1e-2)
 
