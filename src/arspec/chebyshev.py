@@ -3,7 +3,8 @@
 These show up as characteristic polynomials of 0/1 tridiagonal Toeplitz
 matrices (path graphs): det(tI - P_m) = U_m(t/2).  Everything here is plain
 float arithmetic; ``chebyshev_u`` also works elementwise on numpy arrays
-because the recurrence only uses ``+`` and ``*``.
+because the recurrence only uses ``+`` and ``*``.  Every function caps the
+degree at MAX_DEGREE.
 """
 
 import math
@@ -32,7 +33,7 @@ def chebyshev_u(m, x):
 
 def chebyshev_u_trig(m, theta):
     """U_m(cos theta) = sin((m+1) theta) / sin(theta), for theta in (0, pi)."""
-    m = _checked_int("degree", m, 0)
+    m = _checked_int("degree", m, 0, MAX_DEGREE)
     if not 0.0 < theta < math.pi:
         raise ValueError("theta must lie strictly inside (0, pi), got %r" % (theta,))
     return math.sin((m + 1) * theta) / math.sin(theta)
@@ -40,7 +41,7 @@ def chebyshev_u_trig(m, theta):
 
 def chebyshev_u_roots(m):
     """Roots of U_m, cos(j pi / (m+1)) for j = 1..m, in descending order."""
-    m = _checked_int("degree", m, 1)
+    m = _checked_int("degree", m, 1, MAX_DEGREE)
     return [math.cos(j * math.pi / (m + 1)) for j in range(1, m + 1)]
 
 

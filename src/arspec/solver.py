@@ -482,21 +482,25 @@ def eigenvalue_estimates(k: int, j: int) -> tuple[float, float, float]:
 def closure_witness(
     y: float, epsilon: float, parity: str = "any"
 ) -> tuple[int, float]:
-    """Find an order n and eigenvalue mu of its anti-regular graph with
-    |mu - y| < epsilon.
+    """Find the least order n with an eigenvalue mu of its anti-regular graph
+    within epsilon of y, such that every larger order of n's parity has one.
 
     Any y outside the open forbidden interval works: the branch curves fill
-    both complementary rays as theta sweeps [0, pi), and the per-bracket
-    error bound of eigenvalue_estimates drives the search.  The order is
-    grown by doubling until the bound at the bracket containing y's angle
-    drops below epsilon, then trimmed back to the smallest feasible k so
-    the witness order stays modest.  parity "even" and "odd" fix the parity
-    of the order; "any" gives an even order.  y = 0 and y = -1 return the
+    both complementary rays as theta sweeps [0, pi).  The root in the
+    bracket holding y's angle theta' lies within one pole step of it and the
+    branch is convex, so the root is closer to y than the branch value at
+    theta' + step.  Half order k passes when that value is within epsilon of
+    y and theta' + step is at most the last interior pole (k - 1) * step, a
+    test that only gets easier as k grows, so one bisection over k in
+    1..2^23 finds the least k that passes.  At FORBIDDEN_HI or FORBIDDEN_LO
+    that is an explicit order past which every order of its parity has an
+    eigenvalue within epsilon of the gap's end.  parity "even" and "odd" fix
+    the parity; "any" gives an even order.  y = 0 and y = -1 return the
     trivial witnesses (3, 0.0) and (2, -1.0).
 
     Raises ValueError inside the open gap (its endpoints are limits of
-    eigenvalues and get witnesses) and RuntimeError if no supported order
-    (k up to about 8 million) satisfies epsilon.
+    eigenvalues and get witnesses) and RuntimeError if no k up to 2^23
+    passes.
     """
     if not epsilon > 0.0:
         raise ValueError("epsilon must be positive, got %r" % (epsilon,))
@@ -511,33 +515,28 @@ def closure_witness(
         raise ValueError("no witness: %r lies inside the forbidden interval" % (y,))
     theta_prime = theta_of_lambda(y)
     odd = parity == "odd"
+    branch = branch_positive if y > 0.0 else branch_negative
 
-    def bracket(k: int) -> int | None:
-        # the bracket of order 2k + odd that holds y's angle, if that
-        # bracket's error bound is below epsilon
+    def passes(k: int) -> bool:
+        # end <= (k - 1) * step keeps y's bracket short of the last one
         step = 2.0 * math.pi / (2 * k + odd - 1)
-        j = int(theta_prime // step) + 1
-        if j > k - 1 or not branch_positive_derivative(j * step) * step < epsilon:
-            return None
-        return j
+        end = theta_prime + step
+        return end <= (k - 1) * step and abs(branch(end) - y) < epsilon
 
-    k, j = 2, bracket(2)
-    while j is None:
-        k *= 2
-        if k > 2 ** 23:
-            raise RuntimeError(
-                "no witness order found for y=%r at epsilon=%r within supported range"
-                % (y, epsilon))
-        j = bracket(k)
-    lo_k = max(2, k // 2)  # bisect down to the smallest feasible k
-    while k - lo_k > 1:
-        mid = (lo_k + k) // 2
-        found = bracket(mid)
-        if found is None:
-            lo_k = mid
+    lo, hi = 1, 2 ** 23  # k = 1 fails; the test is monotone, so hi ends at the least k
+    if not passes(hi):
+        raise RuntimeError(
+            "no witness order found for y=%r at epsilon=%r within supported range"
+            % (y, epsilon))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if passes(mid):
+            hi = mid
         else:
-            k, j = mid, found
-    mu = _bracket_roots(2 * k + odd, 1 if y > 0.0 else -1, [j])[1][0]
+            lo = mid
+    n = 2 * hi + odd
+    j = int(theta_prime // (2.0 * math.pi / (n - 1))) + 1
+    mu = _bracket_roots(n, 1 if y > 0.0 else -1, [j])[1][0]
     if not abs(mu - y) < epsilon:
         raise RuntimeError("witness bound violated: |%r - %r| >= %r" % (mu, y, epsilon))
-    return 2 * k + odd, mu
+    return n, mu

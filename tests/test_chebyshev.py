@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from arspec.chebyshev import (
+    MAX_DEGREE,
     chebyshev_u,
     chebyshev_u_roots,
     chebyshev_u_trig,
@@ -92,3 +93,13 @@ def test_domain_errors():
         chebyshev_u_roots(0)
     with pytest.raises(ValueError):
         toeplitz_char_poly(0, 1.0)
+
+
+@pytest.mark.parametrize("m", [MAX_DEGREE + 1, 10 ** 400], ids=["cap_plus_one", "10**400"])
+def test_every_function_caps_the_degree(m):
+    # a huge degree is refused up front, not left to overflow a float
+    # product or to build a list of m roots
+    for call in (lambda: chebyshev_u(m, 0.5), lambda: chebyshev_u_trig(m, 1.0),
+                 lambda: chebyshev_u_roots(m)):
+        with pytest.raises(ValueError, match="degree must lie in"):
+            call()

@@ -4,6 +4,7 @@ output shapes rather than library internals."""
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -572,3 +573,57 @@ def test_python_m_arspec_sets_the_exit_code():
     assert "\noracle-equivalence: FAIL" in "\n" + out
     assert arspec("spectrum", "--n", "1") == (
         EXIT_USAGE, "", "error: spectrum --n must be >= 2, got 1\n")
+
+
+# main in a child process where the test-only packages cannot be imported
+_NUMPY_ONLY = """
+import sys
+for name in ("mpmath", "hypothesis", "pytest"):
+    sys.modules[name] = None
+from arspec.cli import main
+print([main(argv) for argv in (
+    ["spectrum", "--n", "9", "--method", "both"], ["table1"], ["verify", "--n-max", "6"],
+    ["scan", "--n", "8"], ["figure-data", "--which", "odd-curves", "--k", "3", "--points", "10"],
+    ["density", "--k", "3"])])
+"""
+
+
+def test_every_verb_runs_on_numpy_alone():
+    # numpy is the one runtime dependency pyproject.toml declares
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_ONLY], capture_output=True, text=True,
+                          env=_arspec_env(), timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0]"
+
+
+def _readme_examples():
+    """(command, shown output lines) for each `$ arspec ...` line in a
+    fenced block of README.md; the output runs to the block's end."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    examples, shown, fenced = [], None, False
+    for line in readme.read_text().splitlines():
+        if line.startswith("```"):
+            fenced, shown = not fenced, None
+        elif fenced and line.startswith("$ arspec "):
+            shown = []
+            examples.append((line[2:], shown))
+        elif shown is not None:
+            shown.append(line)
+    return examples
+
+
+def test_readme_examples_print_what_they_show(capsys):
+    examples = _readme_examples()
+    assert len(examples) >= 3
+    for command, shown in examples:
+        # a pipe such as `| head -3` only trims what is shown
+        code, out, _ = run(capsys, *shlex.split(command.split("|")[0])[1:])
+        assert code == EXIT_OK, command
+        at = 0
+        for line in shown:
+            line = line.strip().removesuffix(",")
+            if line == "...":
+                continue
+            found = out.find(line, at)
+            assert found >= 0, "%s does not print %r (in this order)" % (command, line)
+            at = found + len(line)

@@ -870,7 +870,7 @@ def test_witness_odd_parity():
         (0.05, "no witness"),  # deep inside: no angle exists
         (-0.5, "no witness"),
         (FORBIDDEN_HI - 1e-13, "no witness"),  # inside by less than the angle clamp
-        (FORBIDDEN_HI, (62, 0.20755108904310338)),  # the endpoint is a limit point
+        (FORBIDDEN_HI, (44, 0.207982046927507)),  # the endpoint is a limit point
     ],
 )
 def test_witness_gap_is_open(target, expected):
@@ -885,21 +885,21 @@ _NO_WITNESS = "no witness order found for y=%r at epsilon=0.001 within supported
 
 
 @pytest.mark.parametrize("target, epsilon, even, odd", [
-    (FORBIDDEN_HI, 1e-3, (62, 0.20755108904310338), (61, 0.20758743145081515)),
-    (0.25, 1e-3, (662, 0.25019509135354845), (663, 0.25025195710457726)),
-    (0.25, 1e-2, (68, 0.2486970111162854), (73, 0.253044464882357)),
-    (1.0, 1e-3, (11100, 0.9995674827766889), (11095, 0.9999516565809379)),
-    (7.25, 1e-3, (374322, 7.24929761688334), (374297, 7.249781280867014)),
-    (20.0, 1e-3, (2637596, 19.99926375424112), (2637531, 19.999758654420713)),
-    (120.0, 1e-2, (9123618, 119.99252761761254), (9123997, 119.99753277230829)),
+    (FORBIDDEN_HI, 1e-3, (44, 0.207982046927507), (43, 0.20808510482471754)),
+    (0.25, 1e-3, (662, 0.25019509135354845), (661, 0.2505470885037455)),
+    (0.25, 1e-2, (72, 0.2524927079783327), (73, 0.253044464882357)),
+    (1.0, 1e-3, (11094, 0.9998766125398582), (11093, 1.0007213260607584)),
+    (7.25, 1e-3, (374296, 7.249762021200437), (374297, 7.249781280867014)),
+    (20.0, 1e-3, (2637498, 19.99950256048061), (2637499, 20.000510088321942)),
+    (120.0, 1e-2, (9123788, 119.99477269838573), (9123787, 120.00475856531324)),
     (120.0, 1e-3, _NO_WITNESS % 120.0, _NO_WITNESS % 120.0),
-    (FORBIDDEN_LO, 1e-3, (62, -1.20757185363497), (61, -1.2075656267766202)),
-    (-1.25, 1e-3, (662, -1.2503991325240218), (663, -1.2500489778371628)),
-    (-2.0, 1e-3, (11100, -2.0000266944057574), (11095, -1.99949230086363)),
-    (-2.0, 1e-2, (1120, -2.0005940702665272), (1123, -1.9945493878065992)),
-    (-3.5, 1e-3, (53448, -3.4998449660486917), (53439, -3.4993676873387813)),
-    (-20.0, 1e-3, (2386116, -19.999774214434787), (2386177, -19.999272570642567)),
-    (-120.0, 1e-2, (8972818, -119.99752157824236), (8973193, -119.99251715135213)),
+    (FORBIDDEN_LO, 1e-3, (44, -1.2080403045427328), (43, -1.2080226709410828)),
+    (-1.25, 1e-3, (662, -1.2503991325240218), (661, -1.2503419778024543)),
+    (-2.0, 1e-3, (11094, -2.0003363314972913), (11093, -2.0002612434426688)),
+    (-2.0, 1e-2, (1120, -2.0005940702665272), (1119, -1.999850071301161)),
+    (-3.5, 1e-3, (53450, -3.4999530492826296), (53449, -3.499908100012994)),
+    (-20.0, 1e-3, (2386164, -20.000166135281912), (2386165, -20.000174509703097)),
+    (-120.0, 1e-2, (8972984, -119.99973226896928), (8972985, -119.999745642109)),
     (-120.0, 1e-3, _NO_WITNESS % -120.0, _NO_WITNESS % -120.0),
 ])
 def test_witness_orders_are_pinned(target, epsilon, even, odd):
@@ -910,6 +910,55 @@ def test_witness_orders_are_pinned(target, epsilon, even, odd):
                 closure_witness(target, epsilon, parity)
         else:
             assert closure_witness(target, epsilon, parity) == expected
+
+
+def _witness_test(y, epsilon, odd, k):
+    # the test closure_witness bisects on: half order k passes when one pole
+    # step past y's angle stays short of the last bracket, with the branch
+    # value there within epsilon of y
+    step = 2.0 * math.pi / (2 * k + odd - 1)
+    end = theta_of_lambda(y) + step
+    branch = branch_positive if y > 0.0 else branch_negative
+    return end <= (k - 1) * step and abs(branch(end) - y) < epsilon
+
+
+def _eigenvalue_at_angle(y, n):
+    # the order-n eigenvalue on y's branch in the bracket holding y's angle
+    theta = theta_of_lambda(y)
+    j = int(theta // (2.0 * math.pi / (n - 1))) + 1
+    lo, hi = bracket_poles(n, j)
+    assert lo <= theta < hi
+    return _bracket_roots(n, 1 if y > 0.0 else -1, [j])[1][0]
+
+
+def test_witness_order_is_least_and_every_larger_order_is_a_witness():
+    rng = random.Random(23)
+    for _ in range(100):
+        y = rng.uniform(0.25, 20.0)
+        y = y if rng.random() < 0.5 else -1.0 - y  # its mirror on the negative branch
+        epsilon = 10 ** rng.uniform(-3.0, -1.0)
+        odd = rng.random() < 0.5
+        n, mu = closure_witness(y, epsilon, "odd" if odd else "even")
+        k = n // 2
+        assert n % 2 == odd and abs(mu - y) < epsilon
+        assert _witness_test(y, epsilon, odd, k) and not _witness_test(y, epsilon, odd, k - 1)
+        larger = [rng.randrange(n + 202, 2 ** 24 + 1, 2) for _ in range(5)]
+        for m in [*range(n, n + 201, 2), *larger]:
+            assert abs(_eigenvalue_at_angle(y, m) - y) < epsilon, (y, epsilon, n, m)
+
+
+@pytest.mark.parametrize("epsilon", [1e-1, 1e-2, 1e-3])
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_every_order_past_the_witness_has_eigenvalues_near_the_gap_ends(epsilon, parity):
+    # the abstract's claim at the ends of the forbidden interval, with the
+    # witness order as the explicit "n sufficiently large"
+    rng = random.Random(int(-math.log10(epsilon)) * 2 + (parity == "odd"))
+    for end, sign, inside in ((FORBIDDEN_HI, 1, 1.0), (FORBIDDEN_LO, -1, -1.0)):
+        n = closure_witness(end, epsilon, parity)[0]
+        larger = [rng.randrange(n + 402, 10 ** 6 + 1, 2) for _ in range(20)]
+        for m in [*range(n, n + 401, 2), *larger]:
+            lam = _bracket_roots(m, sign, [1])[1][0]
+            assert 0.0 < (lam - end) * inside < epsilon, (end, epsilon, n, m)
 
 
 def test_witness_checks_its_own_bound(monkeypatch):
