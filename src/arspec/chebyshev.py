@@ -51,5 +51,5 @@ def toeplitz_char_poly(m, t):
     Equals U_m(t/2); the matrix is the adjacency matrix of the path on m
     vertices, so its eigenvalues are 2 cos(j pi / (m+1)).
     """
-    m = _checked_int("matrix order", m, 1)
+    m = _checked_int("matrix order", m, 1, MAX_DEGREE)
     return chebyshev_u(m, 0.5 * t)

@@ -5,10 +5,13 @@ the PASS/FAIL/SKIP decision is made here.
 Each check takes what its caller computed (spectra keyed by ascending
 order, innermost pairs keyed by ascending k, or a range of orders) and
 returns a CheckResult; a FAIL names the order (and pair index j) at fault,
-oracle-equivalence its largest difference.  solver, oracle and graphs are
-looked up as module attributes at call time because perfbench/tracer.py
-wraps these calls by rebinding those attributes (tests rebind them too);
-ROADMAP item 7, counters on the results, retires that constraint.
+oracle-equivalence its largest difference.  eventual-containment, which
+verify leaves out, solves its own orders past a witness order instead,
+drawing some of them from the caller's random source.  solver, oracle
+and graphs are looked up as module attributes at call time because
+perfbench/tracer.py wraps these calls by rebinding those attributes (tests
+rebind them too); ROADMAP item 7, counters on the results, retires that
+constraint.
 """
 
 from __future__ import annotations
@@ -179,3 +182,26 @@ def monotone_innermost(pairs) -> CheckResult:
                 return CheckResult(name, FAIL, "negative sequence not increasing at k=%d" % k)
             prev_neg = lam_neg
     return CheckResult(name, PASS, "innermost pair monotone for k=%s" % _span(pairs))
+
+
+def eventual_containment(epsilon: float, parity: str, rng) -> CheckResult:
+    """From the witness order N = closure_witness(end, epsilon, parity) on,
+    each order of N's parity has its first-bracket eigenvalue on the branch
+    of end within epsilon of end and outside the gap, at both ends of the
+    forbidden interval: the abstract's "for all n sufficiently large", with
+    N as the explicit bound.  Checked at N, N + 2, ..., N + 400 and at 20
+    orders drawn by rng from N + 402..10^6 of N's parity."""
+    name = "eventual-containment"
+    witnesses = []
+    for end, sign, outward in ((solver.FORBIDDEN_HI, 1, 1.0), (solver.FORBIDDEN_LO, -1, -1.0)):
+        n = solver.closure_witness(end, epsilon, parity)[0]
+        witnesses.append(n)
+        larger = [rng.randrange(n + 402, 10 ** 6 + 1, 2) for _ in range(20)]
+        for m in [*range(n, n + 401, 2), *larger]:
+            lam = solver._bracket_roots(m, sign, [1])[1][0]
+            if not 0.0 < (lam - end) * outward < epsilon:
+                detail = "eigenvalue %r not within %r of %r at n=%d" % (lam, epsilon, end, m)
+                return CheckResult(name, FAIL, detail)
+    detail = "221 orders each from N=%d (upper end) and N=%d (lower end) within %r" % (
+        *witnesses, epsilon)
+    return CheckResult(name, PASS, detail)

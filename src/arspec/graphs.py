@@ -114,6 +114,8 @@ def apply_permutation(a, images) -> np.ndarray:
     images[i].
     """
     a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("matrix must be 2-D and square, got shape %r" % (a.shape,))
     n = a.shape[0]
     img = [_checked_int("image", x, 1, n) - 1 for x in images]
     if sorted(img) != list(range(n)):

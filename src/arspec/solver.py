@@ -61,6 +61,9 @@ _DIRECT_MULT_LIMIT = 1_000_000
 _MAX_K = 2 ** 52
 _MAX_ORDER = 2 * _MAX_K + 1
 
+# Largest half order closure_witness returns.
+_WITNESS_MAX_K = 2 ** 23
+
 # pi minus its double rounding math.pi; half of math.pi, exact.
 _PI_LO = 1.2246467991473532e-16
 _HALF_PI = 0.5 * math.pi
@@ -491,8 +494,11 @@ def closure_witness(
     branch is convex, so the root is closer to y than the branch value at
     theta' + step.  Half order k passes when that value is within epsilon of
     y and theta' + step is at most the last interior pole (k - 1) * step, a
-    test that only gets easier as k grows, so one bisection over k in
-    1..2^23 finds the least k that passes.  At FORBIDDEN_HI or FORBIDDEN_LO
+    test that only gets easier as k grows.  Both conditions invert in closed
+    form through theta_of_lambda, which gives the least k up to rounding;
+    the test then confirms it (k passes, k - 1 fails), and a search that
+    widens from that guess corrects it when rounding moved the least k in
+    2..2^23 that passes.  At FORBIDDEN_HI or FORBIDDEN_LO
     that is an explicit order past which every order of its parity has an
     eigenvalue within epsilon of the gap's end.  parity "even" and "odd" fix
     the parity; "any" gives an even order.  y = 0 and y = -1 return the
@@ -523,17 +529,37 @@ def closure_witness(
         end = theta_prime + step
         return end <= (k - 1) * step and abs(branch(end) - y) < epsilon
 
-    lo, hi = 1, 2 ** 23  # k = 1 fails; the test is monotone, so hi ends at the least k
-    if not passes(hi):
+    # In exact arithmetic end <= (k - 1) * step iff k >= (4 pi - theta' (1 -
+    # odd)) / (2 (pi - theta')), and, the branch being monotone, |branch(end)
+    # - y| < epsilon iff step < far - theta', far being the angle of y +
+    # epsilon (y - epsilon below the gap): k > pi / (far - theta') + (1 -
+    # odd) / 2.  Past the float range far is pi.
+    try:
+        far = theta_of_lambda(y + epsilon if y > 0.0 else y - epsilon)
+    except ValueError:
+        far = math.pi
+    room, gap = math.pi - theta_prime, far - theta_prime
+    short = (4.0 * math.pi - theta_prime * (1 - odd)) / (2.0 * room) if room > 0.0 else math.inf
+    near = math.pi / gap + (1 - odd) / 2 if gap > 0.0 else math.inf
+    k = max(math.ceil(min(max(short, near), _WITNESS_MAX_K)), 2)
+    # Rounding moves the least k off the guess, by more than 10^5 for
+    # epsilon near 1e-14 at the gap ends, where branch(end) - y spans a few
+    # tens of doubles.  The test is monotone, so the least k is bracketed by
+    # steps that double from the guess and then bisected; a right guess
+    # costs two tests.
+    lo, hi, width = 1, _WITNESS_MAX_K + 1, 1  # k = 1 fails; hi passes or is past the cap
+    while hi - lo > 1:
+        if passes(k):
+            hi, k = k, k - width
+        else:
+            lo, k = k, k + width
+        width *= 2
+        if not lo < k < hi:
+            k = (lo + hi) // 2
+    if hi > _WITNESS_MAX_K:
         raise RuntimeError(
             "no witness order found for y=%r at epsilon=%r within supported range"
             % (y, epsilon))
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if passes(mid):
-            hi = mid
-        else:
-            lo = mid
     n = 2 * hi + odd
     j = int(theta_prime // (2.0 * math.pi / (n - 1))) + 1
     mu = _bracket_roots(n, 1 if y > 0.0 else -1, [j])[1][0]

@@ -103,3 +103,9 @@ def test_every_function_caps_the_degree(m):
                  lambda: chebyshev_u_roots(m)):
         with pytest.raises(ValueError, match="degree must lie in"):
             call()
+
+
+def test_matrix_order_is_capped_under_its_own_name():
+    # the order is refused as the matrix order, not as chebyshev_u's degree
+    with pytest.raises(ValueError, match=r"^matrix order must lie in 1\.\.1000000, got 1000001$"):
+        toeplitz_char_poly(MAX_DEGREE + 1, 1.0)

@@ -2,12 +2,13 @@
 check must FAIL and name the order or index where the input went wrong."""
 
 import math
+import random
 from dataclasses import replace
 from functools import partial
 
 import pytest
 
-from arspec import checks, oracle
+from arspec import checks, oracle, solver
 from arspec.solver import branch_negative, innermost_eigenvalues, solve_spectrum
 
 SPECTRA = {n: solve_spectrum(n) for n in range(2, 13)}
@@ -82,3 +83,17 @@ def test_monotone_innermost_catches_a_non_monotone_sequence():
     assert_fails(checks.monotone_innermost(bad_pos), "positive sequence not decreasing at k=3")
     bad_neg = {**pairs, 4: (pairs[4][0], pairs[3][1] - 0.01)}
     assert_fails(checks.monotone_innermost(bad_neg), "negative sequence not increasing at k=4")
+
+
+def test_eventual_containment_catches_an_eigenvalue_on_the_gap_end(monkeypatch):
+    # order 44 + 10 = 54 is past the witness order 44 of the lower end at 1e-3
+    solve = solver._bracket_roots
+
+    def on_the_end_at_order_54(n, sign, js):
+        thetas, lams, resids, counts = solve(n, sign, js)
+        return thetas, [solver.FORBIDDEN_LO] if (n, sign) == (54, -1) else lams, resids, counts
+
+    monkeypatch.setattr(solver, "_bracket_roots", on_the_end_at_order_54)
+    result = checks.eventual_containment(1e-3, "even", random.Random(0))
+    assert_fails(result, "eigenvalue %r not within 0.001 of %r at n=54"
+                 % (solver.FORBIDDEN_LO, solver.FORBIDDEN_LO))

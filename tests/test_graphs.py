@@ -1,5 +1,7 @@
 """Construction-level checks: sequences, matrices, relabelings, sequence strings."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,14 @@ def test_apply_permutation_validates_images():
     # an image is refused, not truncated to 1
     with pytest.raises(ValueError, match="image must be an integer, got 1.7"):
         apply_permutation(a, (1.7, 2, 3, 4))
+
+
+@pytest.mark.parametrize("a", [np.arange(4), np.zeros((2, 3)), np.zeros((2, 2, 2))],
+                         ids=["1-D", "2x3", "3-D"])
+def test_apply_permutation_refuses_a_matrix_that_is_not_square(a):
+    with pytest.raises(ValueError, match=r"^matrix must be 2-D and square, got shape %s$"
+                       % re.escape(repr(a.shape))):
+        apply_permutation(a, range(1, len(a) + 1))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 10, 40])

@@ -913,13 +913,34 @@ def test_witness_orders_are_pinned(target, epsilon, even, odd):
 
 
 def _witness_test(y, epsilon, odd, k):
-    # the test closure_witness bisects on: half order k passes when one pole
-    # step past y's angle stays short of the last bracket, with the branch
-    # value there within epsilon of y
+    # the test closure_witness confirms its order with: half order k passes
+    # when one pole step past y's angle stays short of the last bracket, with
+    # the branch value there within epsilon of y
     step = 2.0 * math.pi / (2 * k + odd - 1)
     end = theta_of_lambda(y) + step
+    return end <= (k - 1) * step and _witness_distance(y, odd, k) < epsilon
+
+
+def _witness_distance(y, odd, k):
+    # |branch(theta' + step) - y|, which _witness_test holds below epsilon
+    step = 2.0 * math.pi / (2 * k + odd - 1)
     branch = branch_positive if y > 0.0 else branch_negative
-    return end <= (k - 1) * step and abs(branch(end) - y) < epsilon
+    return abs(branch(theta_of_lambda(y) + step) - y)
+
+
+def _reference_witness_order(y, epsilon, odd):
+    # the bisection closure_witness ran before its closed-form guess: the
+    # least half order in 2..2^23 that passes _witness_test, None if none
+    lo, hi = 1, 2 ** 23  # k = 1 fails
+    if not _witness_test(y, epsilon, odd, hi):
+        return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _witness_test(y, epsilon, odd, mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def _eigenvalue_at_angle(y, n):
@@ -947,18 +968,80 @@ def test_witness_order_is_least_and_every_larger_order_is_a_witness():
             assert abs(_eigenvalue_at_angle(y, m) - y) < epsilon, (y, epsilon, n, m)
 
 
+def _witness_outcome(y, epsilon, parity):
+    try:
+        return repr(closure_witness(y, epsilon, parity))
+    except RuntimeError as error:
+        return str(error)
+
+
+def _reference_witness_outcome(y, epsilon, parity):
+    odd = parity == "odd"
+    k = _reference_witness_order(y, epsilon, odd)
+    if k is None:
+        return ("no witness order found for y=%r at epsilon=%r within supported range"
+                % (y, epsilon))
+    return repr((2 * k + odd, _eigenvalue_at_angle(y, 2 * k + odd)))
+
+
+def _witness_calls(rng, count):
+    # targets at both gap ends, on either branch up to 50, and log-uniform
+    # up to the float range; tolerances log-uniform in 1e-12..1 and 1..1e308,
+    # and inf
+    big = 1.7976931348623157e308
+    for _ in range(count):
+        kind = rng.random()
+        if kind < 0.15:
+            y = FORBIDDEN_HI
+        elif kind < 0.3:
+            y = FORBIDDEN_LO
+        elif kind < 0.65:
+            y = rng.uniform(FORBIDDEN_HI, 50.0)
+        elif kind < 0.95:
+            y = 10 ** rng.uniform(0.0, 308.0)
+        else:
+            y = rng.choice((1e150, 1.0000000000000002e150, 1e308, big))
+        if kind >= 0.3 and rng.random() < 0.5:
+            y = -1.0 - y  # its mirror on the negative branch
+        spread = rng.random()
+        epsilon = (10 ** rng.uniform(-12.0, 0.0) if spread < 0.6
+                   else 10 ** rng.uniform(0.0, 308.0) if spread < 0.95 else math.inf)
+        yield y, epsilon, rng.choice(("any", "even", "odd"))
+
+
+def test_closed_form_witness_matches_the_bisection():
+    calls = [*_witness_calls(random.Random(24), 2000),
+             # y + epsilon or y - epsilon past the float range
+             (1e308, 1e308, "even"), (-1e308, 1e308, "odd"), (3.0, 1.7e308, "any"),
+             (FORBIDDEN_HI, 1e308, "odd"), (FORBIDDEN_LO, math.inf, "even"),
+             (1.7976931348623157e308, 1e-3, "even"), (-1.7976931348623157e308, 1e300, "odd")]
+    for call in calls:
+        assert _witness_outcome(*call) == _reference_witness_outcome(*call), call
+
+
+@pytest.mark.parametrize("y", [5.0, -5.0, 150.0, -150.0])
+@pytest.mark.parametrize("odd", [False, True])
+def test_closed_form_witness_at_the_cap(y, odd):
+    # epsilon set so that the least passing half order is 2^23, the cap,
+    # and then 2^23 + 1, one past it
+    top, parity = 2 ** 23, "odd" if odd else "even"
+    at_cap, past_cap = _witness_distance(y, odd, top - 1), _witness_distance(y, odd, top)
+    assert _witness_distance(y, odd, top + 1) < past_cap < at_cap
+    assert _reference_witness_order(y, at_cap, odd) == top
+    assert _reference_witness_order(y, past_cap, odd) is None
+    for epsilon in (at_cap, past_cap):
+        want = _reference_witness_outcome(y, epsilon, parity)
+        assert _witness_outcome(y, epsilon, parity) == want
+
+
 @pytest.mark.parametrize("epsilon", [1e-1, 1e-2, 1e-3])
 @pytest.mark.parametrize("parity", ["even", "odd"])
 def test_every_order_past_the_witness_has_eigenvalues_near_the_gap_ends(epsilon, parity):
     # the abstract's claim at the ends of the forbidden interval, with the
     # witness order as the explicit "n sufficiently large"
     rng = random.Random(int(-math.log10(epsilon)) * 2 + (parity == "odd"))
-    for end, sign, inside in ((FORBIDDEN_HI, 1, 1.0), (FORBIDDEN_LO, -1, -1.0)):
-        n = closure_witness(end, epsilon, parity)[0]
-        larger = [rng.randrange(n + 402, 10 ** 6 + 1, 2) for _ in range(20)]
-        for m in [*range(n, n + 401, 2), *larger]:
-            lam = _bracket_roots(m, sign, [1])[1][0]
-            assert 0.0 < (lam - end) * inside < epsilon, (end, epsilon, n, m)
+    result = checks.eventual_containment(epsilon, parity, rng)
+    assert result.status == checks.PASS, result.line()
 
 
 def test_witness_checks_its_own_bound(monkeypatch):
