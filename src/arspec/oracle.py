@@ -11,8 +11,9 @@ or determinant routine is called; the three entry points are
     lists of rows, below order ROUND_ROBIN_MIN_ORDER, and from there up the
     round-robin order of Brent and Luk (SIAM J. Sci. Stat. Comput. 6, 1985),
     which rotates n/2 disjoint pairs per elementwise numpy step after padding
-    an odd order by one zero row and column, each step writing into work
-    arrays made once per call,
+    an odd order by one zero row and column, each step a ufunc bound once per
+    call writing into work arrays made once per call, so that a round costs
+    its numpy calls and little else,
 ``quotient_eigenvalues``
     eigenvalues of an equitable-partition quotient matrix, obtained by the
     diagonal similarity that restores symmetry before calling Jacobi,
@@ -43,7 +44,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -55,14 +55,16 @@ MAX_SWEEPS = 100
 # whose a_pq and a_qq - a_pp are both this small may wait for a later sweep.
 CLUSTER_CAP = 1e-10
 # Smallest order swept in round-robin order.  Below it the 34 to 44 numpy calls
-# of a round that rotates, none of which allocates, cost more than the cyclic
-# loop's per-pair Python.  The list sweep breaks even with round-robin near
-# order 16 on dense random matrices (it took 1.0-1.3 times round-robin's time
-# at order 16 and 1.9-2.0 times it at 24), and between orders 20 and 24 on
-# threshold Laplacians in creation order, which the cyclic order converges on
-# in fewer sweeps (round-robin took 1.1-1.4 times the list sweep's time at 16
-# and 0.6-0.7 times it at 28).  Moving the switch would change the last digits
-# at the orders it moves over, so it stays at 16.
+# of a round that rotates (8 to 18 for one that does not), none of which
+# allocates or looks anything up, cost more than the cyclic loop's per-pair
+# Python.  A round took 42-52 us at orders 16-32 on 2 cores, and the list sweep
+# took 0.86-0.93 times round-robin's time at order 12 and 1.3 times it at 16 on
+# dense random matrices (medians of 7, two runs).  On threshold Laplacians in
+# creation order, which the cyclic order converges on in fewer sweeps,
+# round-robin took 1.2-1.3 times the list sweep's time at 16 and 0.87-0.93
+# times it at 20.  So the break-even lies near order 14 on the first and
+# between 16 and 20 on the second.  Moving the switch would change the last
+# digits at the orders it moves over, so it stays at 16.
 ROUND_ROBIN_MIN_ORDER = 16
 # Largest order times largest entry swept unscaled: the squared norms of the
 # sweeps stay below (n * max|a_ij|)^2, which is finite up to 2^1024.  A
@@ -97,9 +99,9 @@ class EigenResult:
 
 
 def _off_norm(a: np.ndarray) -> float:
-    t = a.copy()
-    np.fill_diagonal(t, 0.0)
-    return math.sqrt(float(np.sum(t * t)))
+    sq = a * a
+    sq.flat[::a.shape[0] + 1] = 0.0  # the diagonal
+    return math.sqrt(float(np.add.reduce(sq, None)))
 
 
 def _check_square(m) -> np.ndarray:
@@ -165,7 +167,8 @@ def jacobi_eigenvalues(m) -> EigenResult:
     which is exact, and its eigenvalues are scaled back.
 
     Raises ValueError for non-square, asymmetric, complex or non-finite
-    input, and ConvergenceError if MAX_SWEEPS sweeps do not reach the target.
+    input and for an eigenvalue beyond the float range, and ConvergenceError
+    if MAX_SWEEPS sweeps do not reach the target.
     """
     a = _check_square(m)
     n = a.shape[0]
@@ -191,7 +194,13 @@ def jacobi_eigenvalues(m) -> EigenResult:
     while True:
         off = _off_norm(a)
         if off <= target:
-            eigs = sorted(float(x) for x in np.ldexp(np.diag(a)[:n], shift))
+            diag = np.diag(a)[:n]
+            # ldexp is exact below 2^max_exp, and overflows to inf from there
+            if shift > 0 and (math.frexp(float(np.max(np.abs(diag))))[1] + shift
+                              > sys.float_info.max_exp):
+                raise ValueError("matrix has an eigenvalue beyond the float range (%r)"
+                                 % sys.float_info.max)
+            eigs = sorted(float(x) for x in np.ldexp(diag, shift))
             return EigenResult(order=n, eigenvalues=eigs, sweeps=sweeps,
                                off_norm=float(np.ldexp(off, shift)), rotations=rotations)
         if sweeps == MAX_SWEEPS:
@@ -223,6 +232,7 @@ def _cyclic_sweep(a: np.ndarray, thresh: float, delay: float,
     n = a.shape[0]
     rows = a.tolist()
     rotations = 0
+    sqrt, absolute = math.sqrt, abs  # bound once, not looked up per pair
     for p in range(n - 1):
         for q in range(p + 1, n):
             rp, rq = rows[p], rows[q]
@@ -232,18 +242,19 @@ def _cyclic_sweep(a: np.ndarray, thresh: float, delay: float,
             app = rp[p]
             aqq = rq[q]
             diff = aqq - app
-            if abs(apq) <= delay and abs(diff) <= delay:
+            if absolute(apq) <= delay and absolute(diff) <= delay:
                 continue  # inside a cluster of equal eigenvalues: wait
-            g = 100.0 * abs(apq)
-            if zero_negligible and abs(app) + g == abs(app) and abs(aqq) + g == abs(aqq):
+            g = 100.0 * absolute(apq)
+            if (zero_negligible and absolute(app) + g == absolute(app)
+                    and absolute(aqq) + g == absolute(aqq)):
                 rp[q] = rq[p] = 0.0
                 continue
-            if abs(diff) + g == abs(diff):
+            if absolute(diff) + g == absolute(diff):
                 t = apq / diff  # tan(2 phi) tiny, rotation angle ~ apq/diff
             else:
                 phi = diff / (2.0 * apq)
-                t = (1.0 if phi >= 0.0 else -1.0) / (abs(phi) + math.sqrt(phi * phi + 1.0))
-            c = 1.0 / math.sqrt(t * t + 1.0)
+                t = (1.0 if phi >= 0.0 else -1.0) / (absolute(phi) + sqrt(phi * phi + 1.0))
+            c = 1.0 / sqrt(t * t + 1.0)
             s = t * c
             tau = s / (1.0 + c)
             new_p = [x - s * (y + tau * x) for x, y in zip(rp, rq)]
@@ -259,27 +270,14 @@ def _cyclic_sweep(a: np.ndarray, thresh: float, delay: float,
     return np.array(rows), rotations
 
 
-class _Stack(NamedTuple):
-    """A (3, h, h) stack of the round-robin sweep with the views its rounds
-    use: the blocks X, Y and Z, X and Z together, the pivot rows (their
-    diagonals) and the whole stack flat."""
-
-    blocks: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-    xz: np.ndarray
-    ends: np.ndarray  # rows a_pp and a_qq
-    app: np.ndarray
-    apq: np.ndarray
-    aqq: np.ndarray
-    flat: np.ndarray
-
-    @classmethod
-    def empty(cls, h: int) -> _Stack:
-        blocks = np.empty((3, h, h))
-        pivots = blocks.reshape(3, -1)[:, ::h + 1]
-        return cls(blocks, *blocks, blocks[::2], pivots[::2], *pivots, blocks.reshape(-1))
+def _stack(h: int) -> tuple[np.ndarray, ...]:
+    """A (3, h, h) stack of the round-robin sweep, as the views its rounds use:
+    the blocks X, Y and Z, X and Z together, the pivot rows (their diagonals)
+    a_pp and a_qq together and one by one with a_pq between them, the stack
+    and the stack flat."""
+    blocks = np.empty((3, h, h))
+    pivots = blocks.reshape(3, -1)[:, ::h + 1]
+    return (*blocks, blocks[::2], pivots[::2], *pivots, blocks, blocks.reshape(-1))
 
 
 def _round_robin(n: int):
@@ -303,9 +301,10 @@ def _round_robin(n: int):
     around the ring h, 1, 2, .., h-1, N-1, N-2, .., h+1, so every pair meets
     once in N - 1 rounds and the sweep ends in its starting order.
 
-    The ring's gather plan and every work array are made here, once per
-    ``jacobi_eigenvalues`` call, and each step of a round writes into one of
-    them, so a round allocates nothing.
+    The ring's gather plan, every work array and the views of them that a
+    round reads are made here, once per ``jacobi_eigenvalues`` call, and
+    each step of a round writes into one of them, so a round allocates
+    nothing and costs little beyond its numpy calls.
     """
     h = n // 2
     ring = np.r_[h, 1:h, n - 1:h:-1]
@@ -320,14 +319,19 @@ def _round_robin(n: int):
 
     gather = np.concatenate([offset(top, top.T), offset(top, bottom.T),
                              offset(bottom, bottom.T)], axis=None)
-    stacks = _Stack.empty(h), _Stack.empty(h)
+    stacks = _stack(h), _stack(h)
     full = np.empty((n, n))
     # per-pair vectors: a_qq - a_pp, |a_pq|, a_pq^2 and max(|a_pq|, |diff|),
     # 100 |a_pq|, 2 a_pq, the denominator of t, t and t a_pq
     diff, aq, sq, wide, g, twice, den, t, tapq = np.empty((9, h))
+    # the operands 2, 100 and 1 and the sweep's thresh and delay, one per
+    # pair: a float scalar costs a ufunc call more than an h-vector does
+    two, hundred, one = np.full((3, h), [[2.0], [100.0], [1.0]])
+    thresholds, delays = np.empty((2, h))
     rot, outside, moves, keep = np.empty((4, h), dtype=bool)
     d, dg = np.empty((2, 2, h))  # |a_pp|, |a_qq| and those plus g
     moved = np.empty((2, h), dtype=bool)
+    moved_p, moved_q = moved
     cs = np.empty((2, h))
     c, s = cs
     cs_rows, cs_cols = cs[:, None, :, None], cs[None, :, None, :]
@@ -337,69 +341,85 @@ def _round_robin(n: int):
     # X and Z partial stacks: the sums CC*X + SS*Z and SS*X + CC*Z, their
     # second terms and then CS*X and SC*Z, U and W, U + U' and W + W'
     mixed, terms, uw, uw_sym = np.empty((4, 2, h, h))
+    mixed_x, mixed_z = mixed
+    terms_x, terms_z = terms
+    uw_x, uw_z = uw_sym
     uw_t = uw.transpose(0, 2, 1)
     ccy, ssy = uw
     ssy_t = ssy.T
 
+    # every ufunc a round calls, bound once: at the orders swept here a call
+    # costs more than its arithmetic on h elements or an h x h block, and a
+    # keyword out costs more than a positional one
+    subtract, absolute, multiply, add, divide = (
+        np.subtract, np.absolute, np.multiply, np.add, np.divide)
+    greater, maximum, not_equal = np.greater, np.maximum, np.not_equal
+    logical_and, logical_or, logical_not = np.logical_and, np.logical_or, np.logical_not
+    hypot, copysign, count_nonzero = np.hypot, np.copysign, np.count_nonzero
+    clear_t = t.fill
+
     def sweep(a: np.ndarray, thresh: float, delay: float,
               zero_negligible: bool) -> tuple[np.ndarray, int]:
         cur, nxt = stacks
-        cur.x[...] = a[:h, :h]
-        cur.y[...] = a[:h, h:]
-        cur.z[...] = a[h:, h:]
+        x, y, z, *_ = cur
+        x[...] = a[:h, :h]
+        y[...] = a[:h, h:]
+        z[...] = a[h:, h:]
+        thresholds.fill(thresh)
+        delays.fill(delay)
         rotations = 0
         for _ in range(n - 1):
-            _, x, y, z, xz, ends, app, apq, aqq, _ = cur
-            np.subtract(aqq, app, out=diff)
-            np.abs(apq, out=aq)
-            np.multiply(apq, apq, out=sq)
-            np.greater(sq, thresh, out=rot)
+            x, y, z, xz, ends, app, apq, aqq, _, _ = cur
+            subtract(aqq, app, diff)
+            absolute(apq, aq)
+            multiply(apq, apq, sq)
+            greater(sq, thresholds, rot)
             if delay:  # pairs inside a cluster of equal eigenvalues wait
-                np.abs(diff, out=wide)
-                np.maximum(aq, wide, out=wide)
-                np.greater(wide, delay, out=outside)
-                np.logical_and(rot, outside, out=rot)
+                absolute(diff, wide)
+                maximum(aq, wide, out=wide)  # a positional out is deprecated here
+                greater(wide, delays, outside)
+                logical_and(rot, outside, rot)
             done = rot
             if zero_negligible:  # a pair that moves neither pivot is zeroed
-                np.multiply(100.0, aq, out=g)
-                np.abs(ends, out=d)
-                np.add(d, g, out=dg)
-                np.not_equal(dg, d, out=moved)
-                np.logical_or(moved[0], moved[1], out=moves)
-                np.logical_and(rot, moves, out=moves)
+                multiply(hundred, aq, g)
+                absolute(ends, d)
+                add(d, g, dg)
+                not_equal(dg, d, moved)
+                logical_or(moved_p, moved_q, moves)
+                logical_and(rot, moves, moves)
                 done = moves
-            count = int(np.count_nonzero(done))
+            count = int(count_nonzero(done))
             if count:
                 # t = tan(phi) of the smaller rotation annihilating a_pq, left
                 # at 0 for the pairs not rotated; hypot keeps diff^2 from
                 # overflowing
-                np.multiply(2.0, apq, out=twice)
-                np.hypot(diff, twice, out=den)
-                np.copysign(den, diff, out=den)
-                np.add(diff, den, out=den)
-                t.fill(0.0)
-                np.divide(twice, den, out=t, where=done)
-                np.hypot(t, 1.0, out=c)
-                np.divide(1.0, c, out=c)
-                np.multiply(t, c, out=s)
-                np.multiply(cs_rows, cs_cols, out=outer)
-                np.multiply(cc_ss, x, out=mixed)
-                np.multiply(ss_cc, z, out=terms)
-                np.add(mixed, terms, out=mixed)
-                np.multiply(cs_sc, y, out=uw)
-                np.add(uw, uw_t, out=uw_sym)
-                _, bx, by, bz, _, _, bpp, _, bqq, _ = nxt
-                np.subtract(mixed[0], uw_sym[0], out=bx)
-                np.add(mixed[1], uw_sym[1], out=bz)
-                np.multiply(cs_sc, xz, out=terms)
-                np.subtract(terms[0], terms[1], out=by)
-                np.multiply(cc, y, out=ccy)
-                np.multiply(ss, y, out=ssy)
-                np.subtract(ccy, ssy_t, out=ccy)
-                np.add(by, ccy, out=by)
-                np.multiply(t, apq, out=tapq)
-                np.subtract(app, tapq, out=bpp)
-                np.add(aqq, tapq, out=bqq)
+                multiply(two, apq, twice)
+                hypot(diff, twice, den)
+                copysign(den, diff, den)
+                add(diff, den, den)
+                clear_t(0.0)
+                divide(twice, den, out=t, where=done)
+                hypot(t, one, c)
+                divide(one, c, c)
+                multiply(t, c, s)
+                multiply(cs_rows, cs_cols, outer)
+                multiply(cc_ss, x, mixed)
+                multiply(ss_cc, z, terms)
+                add(mixed, terms, mixed)
+                multiply(cs_sc, y, uw)
+                add(uw, uw_t, uw_sym)
+                bx, by, bz, _, _, bpp, _, bqq, _, _ = nxt
+                subtract(mixed_x, uw_x, bx)
+                add(mixed_z, uw_z, bz)
+                multiply(cs_sc, xz, terms)
+                subtract(terms_x, terms_z, by)
+                multiply(cc, y, ccy)
+                multiply(ss, y, ssy)
+                subtract(ccy, ssy_t, ccy)
+                add(by, ccy, by)
+                multiply(t, apq, tapq)
+                subtract(app, tapq, bpp)
+                add(aqq, tapq, bqq)
                 cur, nxt = nxt, cur
                 rotations += count
             # a_pq of every pair rotated or found negligible becomes exactly 0,
@@ -407,12 +427,13 @@ def _round_robin(n: int):
             # unrotated pair's pivot a_pp - 0 a_pq takes the sign of such a
             # zero, and a pair whose a_qq - a_pp is then +-0 turns by +45 or
             # -45 degrees through copysign, which moves the eigenvalues
-            np.logical_not(rot, out=keep)
-            np.multiply(apq, keep, out=cur.apq)
-            # every index is valid; mode="raise" would buffer the output
-            cur.blocks.take(gather, out=nxt.flat, mode="clip")
+            logical_not(rot, keep)
+            multiply(apq, keep, cur[6])  # into cur's a_pq
+            # cur's blocks into nxt's flat view; every index is valid, and
+            # mode="raise" would buffer the output
+            cur[8].take(gather, out=nxt[9], mode="clip")
             cur, nxt = nxt, cur
-        x, y, z = cur.blocks
+        x, y, z, *_ = cur
         full[:h, :h] = x
         full[:h, h:] = y
         full[h:, :h] = y.T

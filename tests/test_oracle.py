@@ -1,6 +1,7 @@
 """The dense eigensolver has to stand on its own, so these tests pin it
 against hand-computable spectra and internal consistency identities only."""
 
+import hashlib
 import math
 import warnings
 from typing import NamedTuple
@@ -24,7 +25,7 @@ from arspec.oracle import (
     jacobi_eigenvalues,
     quotient_eigenvalues,
 )
-from arspec.threshold import threshold_spectrum
+from arspec.threshold import quotient_matrix, threshold_spectrum
 
 # Orders on each side of the switch from cyclic to round-robin sweeps; the
 # odd ones sweep with a pad row and column.
@@ -107,6 +108,25 @@ def test_huge_entries_do_not_overflow_the_norm():
         warnings.simplefilter("error")
         res = jacobi_eigenvalues([[0.0, 1e200], [1e200, 0.0]])
     assert res.eigenvalues == [-1e200, 1e200]
+
+
+@pytest.mark.parametrize("n", [2, 3, ROUND_ROBIN_MIN_ORDER + 1])
+def test_eigenvalue_beyond_the_float_range_is_rejected(n):
+    # the largest eigenvalue is n * 1e308; scaling it back used to return inf
+    # with an "overflow encountered in ldexp" RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="beyond the float range"):
+            jacobi_eigenvalues(np.full((n, n), 1e308))
+
+
+def test_largest_eigenvalue_near_the_float_range_is_kept():
+    n = ROUND_ROBIN_MIN_ORDER + 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = jacobi_eigenvalues(np.full((n, n), 1e307))
+    assert res.eigenvalues[-1] == pytest.approx(n * 1e307, rel=1e-12)
+    assert math.isfinite(res.eigenvalues[-1])
 
 
 @pytest.mark.parametrize("tiny", [1e-200, 1e-300, 5e-324])
@@ -518,3 +538,46 @@ def test_round_robin_sweep_matches_allocating_rounds(monkeypatch, n):
         assert repr(got.eigenvalues) == repr(want.eigenvalues)
         assert (got.sweeps, got.rotations, repr(got.off_norm)) == (
             want.sweeps, want.rotations, repr(want.off_norm))
+
+
+# orders of the pinned corpus: every order up to 64 on both sides of the
+# switch, odd and even, and four of the sizes the dense checks reach
+_PINNED_ORDERS = (*range(2, 65), 70, 75, 95, 120)
+
+
+def _pinned_results():
+    rng = np.random.default_rng(20261019)
+    for n in _PINNED_ORDERS:
+        a = antiregular_adjacency(n)
+        b = adjacency_from_sequence((0, *rng.integers(0, 2, size=n - 2), 1))
+        m = rng.normal(size=(n, n))
+        m = m + m.T
+        for x in (a, laplacian(a), b, laplacian(b)):
+            yield jacobi_eigenvalues(x.astype(float))
+        yield jacobi_eigenvalues(m)
+        # one power-of-two scaling per order, each way on both sweep orders
+        yield jacobi_eigenvalues(laplacian(b) * 2.0 ** (600 if n % 2 else -600))
+        if n % 2 == 0:
+            runs = [tuple(r) for r in rng.integers(1, 5, size=(n // 2, 2))]
+            yield quotient_eigenvalues(*quotient_matrix(runs))
+        if n in _SIGNED_ZERO_GRAPHS:
+            g = np.zeros((n, n))
+            for p, q in _SIGNED_ZERO_GRAPHS[n]:
+                g[p, q] = g[q, p] = 1.0
+            yield jacobi_eigenvalues(-g)
+
+
+def test_outputs_are_pinned():
+    # a SHA-256 over the repr, which tells -0.0 from 0.0, of every result of
+    # the corpus, computed before the round-robin round bound its ufuncs: a
+    # changed float operation of either sweep, or a changed order of them,
+    # moves a last digit somewhere in the corpus and so the digest
+    digest = hashlib.sha256()
+    count = 0
+    for res in _pinned_results():
+        digest.update(repr((res.eigenvalues, res.sweeps, res.rotations,
+                            res.off_norm)).encode())
+        count += 1
+    assert count == 441
+    assert digest.hexdigest() == (
+        "9dd2b7f70b199db181467f6f7c940948786ab72a10fdce4860f8b1a3e7f74889")
