@@ -48,8 +48,7 @@ def oracle_equivalence(spectra, tol: float) -> CheckResult:
     """Solver eigenvalues within tol of the dense Jacobi oracle's."""
     worst = 0.0
     for n, spec in spectra.items():
-        a = graphs.antiregular_adjacency(n).astype(float)
-        dense = oracle.jacobi_eigenvalues(a).eigenvalues
+        dense = oracle.jacobi_eigenvalues(graphs.antiregular_adjacency(n)).eigenvalues
         worst = max(worst, max(abs(c - d) for c, d in zip(spec.eigenvalues(), dense)))
     detail = "max delta %.3e over n=%s (tol %.1e)" % (worst, _span(spectra), tol)
     return CheckResult("oracle-equivalence", PASS if worst <= tol else FAIL, detail, worst)
@@ -157,7 +156,7 @@ def laplacian_integer_spectrum(orders, tol: float) -> CheckResult:
     """Jacobi Laplacian spectrum within tol of 0..n without (n + 1) // 2."""
     name = "laplacian-integer-spectrum"
     for n in orders:
-        lap = graphs.laplacian(graphs.antiregular_adjacency(n)).astype(float)
+        lap = graphs.laplacian(graphs.antiregular_adjacency(n))
         eigs = oracle.jacobi_eigenvalues(lap).eigenvalues
         expected = sorted(set(range(n + 1)) - {(n + 1) // 2})
         off = max(abs(e - x) for e, x in zip(eigs, expected))

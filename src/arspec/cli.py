@@ -133,8 +133,7 @@ def cmd_spectrum(args) -> tuple[str, str | None]:
     if args.method in ("cheb", "both"):
         result = solver.solve_spectrum(args.n)
     if args.method in ("dense", "both"):
-        a = graphs.antiregular_adjacency(args.n).astype(float)
-        dense = oracle.jacobi_eigenvalues(a).eigenvalues
+        dense = oracle.jacobi_eigenvalues(graphs.antiregular_adjacency(args.n)).eigenvalues
 
     if args.method == "cheb":
         return (result.to_json() + "\n" if args.format == "json" else result.to_csv()), None

@@ -20,6 +20,10 @@ or determinant routine is called; the three entry points are
 ``char_poly_eval``
     det(tI - M) via LU factorization with partial pivoting.
 
+Jacobi sweeps every matrix divided, exactly, by the power of two that puts
+its largest entry in [1/2, 1), so no squared norm overflows or underflows,
+and it judges symmetry relative to that entry, whatever the scale.
+
 Jacobi is quadratically convergent once off-diagonal mass is small; with
 the threshold strategy matrices up to order ~1000 converge in well under
 the 100-sweep cap.  That is the intended working range: this is an oracle
@@ -66,10 +70,6 @@ CLUSTER_CAP = 1e-10
 # between 16 and 20 on the second.  Moving the switch would change the last
 # digits at the orders it moves over, so it stays at 16.
 ROUND_ROBIN_MIN_ORDER = 16
-# Largest order times largest entry swept unscaled: the squared norms of the
-# sweeps stay below (n * max|a_ij|)^2, which is finite up to 2^1024.  A
-# largest entry below its inverse is scaled too, before its square underflows.
-_UNSCALED_NORM_MAX = 2.0 ** 510
 
 
 class ConvergenceError(RuntimeError):
@@ -102,6 +102,14 @@ def _off_norm(a: np.ndarray) -> float:
     sq = a * a
     sq.flat[::a.shape[0] + 1] = 0.0  # the diagonal
     return math.sqrt(float(np.add.reduce(sq, None)))
+
+
+def _scale_back(x: float, shift: int) -> float:
+    """x * 2^shift: exact, or +-inf beyond the float range."""
+    try:
+        return math.ldexp(x, shift)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 def _check_square(m) -> np.ndarray:
@@ -161,27 +169,23 @@ def jacobi_eigenvalues(m) -> EigenResult:
     below JACOBI_TOL times the Frobenius norm of the input.  The off-diagonal
     norm is recomputed directly each sweep; forming it by subtracting the
     diagonal from the total norm cancels catastrophically and would stall
-    the loop around sqrt(eps) times the matrix norm.  A matrix whose squared
-    norm could overflow (order times largest entry above 2^510) or underflow
-    (a nonzero largest entry below 2^-510) is swept scaled by a power of two,
-    which is exact, and its eigenvalues are scaled back.
+    the loop around sqrt(eps) times the matrix norm.  The sweeps run on
+    a 2^-e, e = frexp(max|a_ij|)[1] (0 for the zero matrix), which is exact
+    for entries of at least 2^-1021 max|a_ij|, and the results are scaled
+    back by 2^e.  The input counts as symmetric if max|a_ij - a_ji| <=
+    SYMMETRY_TOL max|a_ij|, a test the division leaves unchanged.
 
     Raises ValueError for non-square, asymmetric, complex or non-finite
     input and for an eigenvalue beyond the float range, and ConvergenceError
-    if MAX_SWEEPS sweeps do not reach the target.
+    (a norm beyond it read as inf) if MAX_SWEEPS sweeps miss the target.
     """
     a = _check_square(m)
     n = a.shape[0]
-    amax = float(np.max(np.abs(a)))
-    shift = 0
-    if n * amax > _UNSCALED_NORM_MAX or 0.0 < amax < 1.0 / _UNSCALED_NORM_MAX:
-        # sweep a / 2^shift, exactly, and scale the results back
-        shift = math.frexp(amax)[1]
-        a, amax = np.ldexp(a, -shift), math.ldexp(amax, -shift)
-    scale = max(1.0, amax)
+    amax, shift = math.frexp(float(np.max(np.abs(a))))
+    a = np.ldexp(a, -shift)
     asym = float(np.max(np.abs(a - a.T)))
-    if asym > SYMMETRY_TOL * scale:
-        raise ValueError("matrix is not symmetric (max asymmetry %.3e)" % asym)
+    if asym > SYMMETRY_TOL * amax:
+        raise ValueError("matrix is not symmetric (max asymmetry %.3e)" % _scale_back(asym, shift))
     a = 0.5 * (a + a.T)
     norm = math.sqrt(float(np.sum(a * a)))
     target = JACOBI_TOL * norm
@@ -194,17 +198,14 @@ def jacobi_eigenvalues(m) -> EigenResult:
     while True:
         off = _off_norm(a)
         if off <= target:
-            diag = np.diag(a)[:n]
-            # ldexp is exact below 2^max_exp, and overflows to inf from there
-            if shift > 0 and (math.frexp(float(np.max(np.abs(diag))))[1] + shift
-                              > sys.float_info.max_exp):
+            eigs = sorted(_scale_back(x, shift) for x in np.diag(a)[:n].tolist())
+            if math.isinf(eigs[0]) or math.isinf(eigs[-1]):
                 raise ValueError("matrix has an eigenvalue beyond the float range (%r)"
                                  % sys.float_info.max)
-            eigs = sorted(float(x) for x in np.ldexp(diag, shift))
             return EigenResult(order=n, eigenvalues=eigs, sweeps=sweeps,
-                               off_norm=float(np.ldexp(off, shift)), rotations=rotations)
+                               off_norm=_scale_back(off, shift), rotations=rotations)
         if sweeps == MAX_SWEEPS:
-            off, target = float(np.ldexp(off, shift)), float(np.ldexp(target, shift))
+            off, target = _scale_back(off, shift), _scale_back(target, shift)
             raise ConvergenceError(
                 "off-diagonal norm %.3e still above target %.3e after %d sweeps"
                 % (off, target, sweeps), order=n, sweeps=sweeps, off_norm=off, target=target)
@@ -449,9 +450,9 @@ def quotient_eigenvalues(m, cell_sizes) -> EigenResult:
     ``m[i][j]`` holds the number of neighbors a vertex of cell i has inside
     cell j, and ``cell_sizes`` the cell cardinalities.  Such a matrix is not
     symmetric, but conjugating by diag(sqrt(sizes)) restores symmetry:
-    S = D^(1/2) M D^(-1/2).  If S fails to be symmetric the input did not
-    come from an equitable partition, which is reported as a ValueError
-    rather than silently returning wrong eigenvalues.
+    S = D^(1/2) M D^(-1/2).  If max|s_ij - s_ji| exceeds QUOTIENT_SYMMETRY_TOL
+    max|s_ij|, the input did not come from an equitable partition, which is
+    reported as a ValueError rather than silently returning wrong eigenvalues.
     """
     a = _check_square(m)
     sizes = list(cell_sizes)
@@ -464,12 +465,9 @@ def quotient_eigenvalues(m, cell_sizes) -> EigenResult:
         raise ValueError("cell sizes must be positive integers")
     d = np.sqrt(np.asarray(sizes, dtype=float))
     sym = a * d[:, None] / d[None, :]
-    scale = max(1.0, float(np.max(np.abs(sym))))
     asym = float(np.max(np.abs(sym - sym.T)))
-    if asym > QUOTIENT_SYMMETRY_TOL * scale:
-        raise ValueError(
-            "matrix is not an equitable quotient: rebalanced asymmetry %.3e" % asym
-        )
+    if asym > QUOTIENT_SYMMETRY_TOL * float(np.max(np.abs(sym))):
+        raise ValueError("matrix is not an equitable quotient: rebalanced asymmetry %.3e" % asym)
     return jacobi_eigenvalues(0.5 * (sym + sym.T))
 
 

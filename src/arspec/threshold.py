@@ -85,8 +85,7 @@ def threshold_spectrum(bits, method: str = "quotient") -> list[float]:
     """
     b = _check_sequence(bits)
     if method == "full":
-        a = adjacency_from_sequence(b).astype(float)
-        return jacobi_eigenvalues(a).eigenvalues
+        return jacobi_eigenvalues(adjacency_from_sequence(b)).eigenvalues
     if method != "quotient":
         raise ValueError("method must be 'full' or 'quotient', got %r" % (method,))
     runs = run_length_encode(b)

@@ -142,14 +142,29 @@ def test_tiny_entries_do_not_underflow_the_norm(tiny):
 
 @pytest.mark.parametrize("n", [BELOW, ABOVE])
 def test_power_of_two_scaling_is_exact(n):
-    # a matrix past the overflow or underflow guard gives the unscaled
-    # eigenvalues times the same power of two, bit for bit, on both sweep orders
+    # a matrix times a power of two gives the same eigenvalues times that
+    # power, bit for bit, on both sweep orders, near 1 and far from it alike
     a = antiregular_adjacency(n).astype(float)
     base = jacobi_eigenvalues(a).eigenvalues
-    big = jacobi_eigenvalues(a * 2.0 ** 600).eigenvalues
-    assert big == [x * 2.0 ** 600 for x in base]
-    small = jacobi_eigenvalues(a * 2.0 ** -600).eigenvalues
-    assert small == [x * 2.0 ** -600 for x in base]
+    for e in (-600, -20, 20, 600):
+        scaled = jacobi_eigenvalues(a * 2.0 ** e).eigenvalues
+        assert scaled == [x * 2.0 ** e for x in base]
+
+
+@pytest.mark.parametrize("e", [-600, -20, 0, 20, 600])
+def test_symmetry_verdict_does_not_depend_on_scale(e):
+    # asymmetry is judged against the largest entry; at 2^-20 it was judged
+    # against 1, and these asymmetric matrices passed
+    scale = 2.0 ** e
+    with pytest.raises(ValueError, match="not symmetric"):
+        jacobi_eigenvalues(np.array([[0.0, 1.0], [1.0 + 1e-10, 0.0]]) * scale)
+    with pytest.raises(ValueError, match="not an equitable quotient"):
+        quotient_eigenvalues(np.array([[0.0, 3.0 + 1e-7], [1.0, 0.0]]) * scale, [1, 3])
+    single_edge = np.array([[0.0, 1.0], [1.0, 0.0]]) * scale
+    assert jacobi_eigenvalues(single_edge).eigenvalues == [-scale, scale]
+    star = quotient_eigenvalues(np.array([[0.0, 3.0], [1.0, 0.0]]) * scale, [1, 3])
+    root = math.sqrt(3.0) * scale
+    assert star.eigenvalues == pytest.approx([-root, root], rel=1e-15)
 
 
 def test_rejects_asymmetric_and_bad_shapes():
@@ -239,6 +254,19 @@ def test_convergence_error_carries_its_context(monkeypatch, n):
     assert (err.order, err.sweeps) == (n, 1)
     assert err.off_norm > err.target > 0.0
     assert "after 1 sweeps" in str(err)
+
+
+@pytest.mark.parametrize("n, off_norm, target", [(3, 1e308, 2e296), (ABOVE, math.inf, 1.2e297)])
+def test_convergence_error_reports_a_norm_beyond_the_float_range_as_inf(monkeypatch, n,
+                                                                       off_norm, target):
+    # scaling the order-ABOVE norm back used to raise numpy's "overflow
+    # encountered in ldexp" RuntimeWarning in place of the ConvergenceError
+    monkeypatch.setattr(oracle, "MAX_SWEEPS", 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError) as info:
+            jacobi_eigenvalues(antiregular_adjacency(n) * 1e308)
+    assert (info.value.off_norm, info.value.target) == (off_norm, target)
 
 
 @pytest.mark.parametrize("n", [3, BELOW, ABOVE])
