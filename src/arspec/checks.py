@@ -45,7 +45,7 @@ def _even_pairs(spectra):
 
 
 def oracle_equivalence(spectra, tol: float) -> CheckResult:
-    """Solver eigenvalues within tol of the dense Jacobi oracle's."""
+    """Solver eigenvalues within tol of the dense oracle's."""
     worst = 0.0
     for n, spec in spectra.items():
         dense = oracle.jacobi_eigenvalues(graphs.antiregular_adjacency(n)).eigenvalues
@@ -153,7 +153,7 @@ def extreme_bounds(spectra) -> CheckResult:
 
 
 def laplacian_integer_spectrum(orders, tol: float) -> CheckResult:
-    """Jacobi Laplacian spectrum within tol of 0..n without (n + 1) // 2."""
+    """Dense Laplacian spectrum within tol of 0..n without (n + 1) // 2."""
     name = "laplacian-integer-spectrum"
     for n in orders:
         lap = graphs.laplacian(graphs.antiregular_adjacency(n))

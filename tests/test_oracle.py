@@ -1,11 +1,14 @@
 """The dense eigensolver has to stand on its own, so these tests pin it
-against hand-computable spectra and internal consistency identities only."""
+against hand-computable spectra, internal consistency identities and a
+40-digit mpmath reference."""
 
 import hashlib
 import math
+import sys
 import warnings
 from typing import NamedTuple
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -27,8 +30,8 @@ from arspec.oracle import (
 )
 from arspec.threshold import quotient_matrix, threshold_spectrum
 
-# Orders on each side of the switch from cyclic to round-robin sweeps; the
-# odd ones sweep with a pad row and column.
+# Orders on each side of the switch from Householder and QL to round-robin
+# Jacobi sweeps; the odd ones sweep with a pad row and column.
 BELOW, ABOVE = ROUND_ROBIN_MIN_ORDER - 1, ROUND_ROBIN_MIN_ORDER + 1
 
 
@@ -110,6 +113,59 @@ def test_huge_entries_do_not_overflow_the_norm():
     assert res.eigenvalues == [-1e200, 1e200]
 
 
+@pytest.mark.parametrize("sizes", [[1, 1], [4, 4]])
+def test_quotient_entries_near_the_float_range_do_not_overflow(sizes):
+    # rebalancing and symmetrising at the input's scale used to raise
+    # "overflow encountered in add" ([1, 1]) and "... in multiply" ([4, 4])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = quotient_eigenvalues([[0.0, 1e308], [1e308, 0.0]], sizes)
+    assert res.eigenvalues == [-1e308, 1e308]
+
+
+def _certified_inputs(n, rng):
+    """(matrix, cell sizes) pairs of order n; the sizes are None for the
+    symmetric matrices, and given for the quotient at even orders."""
+    a = antiregular_adjacency(n)
+    yield a, None
+    yield laplacian(a), None
+    for _ in range(4):
+        b = adjacency_from_sequence((0, *rng.integers(0, 2, size=n - 2), 1))
+        yield b, None
+        yield laplacian(b), None
+    for _ in range(3):
+        m = rng.normal(size=(n, n))
+        yield m + m.T, None
+    if n % 2 == 0:
+        yield quotient_matrix([tuple(r) for r in rng.integers(1, 6, size=(n // 2, 2))])
+
+
+@pytest.mark.parametrize("n", range(2, ROUND_ROBIN_MIN_ORDER))
+def test_eigenvalues_below_the_switch_match_a_40_digit_reference(n):
+    # every eigenvalue within 8 eps ||A||_F of mpmath's eigsy at 40 digits,
+    # where A is the symmetric matrix solved (D^1/2 M D^-1/2 for a quotient
+    # M); the worst over these 189 matrices is 4.55 in those units for
+    # Householder and QL, and was 2.62 for the cyclic Jacobi sweep
+    rng = np.random.default_rng(3000 + n)
+    for m, sizes in _certified_inputs(n, rng):
+        m = np.asarray(m, dtype=float)
+        with mpmath.workdps(40):
+            if sizes is None:
+                got = jacobi_eigenvalues(m).eigenvalues
+                a = mpmath.matrix(m.tolist())
+            else:
+                got = quotient_eigenvalues(m, sizes).eigenvalues
+                root = [mpmath.sqrt(c) for c in sizes]
+                a = mpmath.matrix(n, n)
+                for i in range(n):
+                    for j in range(n):
+                        a[i, j] = (m[i, j] * root[i] / root[j] + m[j, i] * root[j] / root[i]) / 2
+            want = sorted(mpmath.eigsy(a, eigvals_only=True))
+            bound = 8 * sys.float_info.epsilon * mpmath.mnorm(a, "f")
+            errors = [abs(mpmath.mpf(x) - y) for x, y in zip(got, want)]
+        assert max(errors) <= bound, (m, sizes, float(max(errors) / bound * 8))
+
+
 @pytest.mark.parametrize("n", [2, 3, ROUND_ROBIN_MIN_ORDER + 1])
 def test_eigenvalue_beyond_the_float_range_is_rejected(n):
     # the largest eigenvalue is n * 1e308; scaling it back used to return inf
@@ -131,13 +187,19 @@ def test_largest_eigenvalue_near_the_float_range_is_kept():
 
 @pytest.mark.parametrize("tiny", [1e-200, 1e-300, 5e-324])
 def test_tiny_entries_do_not_underflow_the_norm(tiny):
-    # the squared norm of this matrix underflows to 0, which would stop the
-    # sweeps before the first one
+    # the squared norm of these matrices underflows to 0, which would stop
+    # the sweeps before the first one; below the switch the 2 x 2 block is
+    # solved in closed form, one rotation and no QL iteration
+    swept = np.zeros((ABOVE, ABOVE))
+    swept[0, 1] = swept[1, 0] = tiny
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = jacobi_eigenvalues([[0.0, tiny], [tiny, 0.0]])
+        big = jacobi_eigenvalues(swept)
     assert res.eigenvalues == [-tiny, tiny]
-    assert res.sweeps == 1
+    assert (res.sweeps, res.rotations) == (0, 1)
+    assert big.eigenvalues == [-tiny, *[0.0] * (ABOVE - 2), tiny]
+    assert big.sweeps == 1
 
 
 @pytest.mark.parametrize("n", [BELOW, ABOVE])
@@ -247,16 +309,23 @@ def test_convergence_error_is_a_runtime_error():
 
 @pytest.mark.parametrize("n", [BELOW, ABOVE])
 def test_convergence_error_carries_its_context(monkeypatch, n):
+    # a cap of one QL iteration per eigenvalue below the switch, and of one
+    # sweep above it
+    monkeypatch.setattr(oracle, "_QL_ITERATIONS", 1)
     monkeypatch.setattr(oracle, "MAX_SWEEPS", 1)
     with pytest.raises(ConvergenceError) as info:
         jacobi_eigenvalues(antiregular_adjacency(n).astype(float))
     err = info.value
     assert (err.order, err.sweeps) == (n, 1)
-    assert err.off_norm > err.target > 0.0
-    assert "after 1 sweeps" in str(err)
+    if n < ROUND_ROBIN_MIN_ORDER:
+        assert err.off_norm is None and err.target is None
+        assert "1 on one eigenvalue, 1 in all" in str(err)
+    else:
+        assert err.off_norm > err.target > 0.0
+        assert "after 1 sweeps" in str(err)
 
 
-@pytest.mark.parametrize("n, off_norm, target", [(3, 1e308, 2e296), (ABOVE, math.inf, 1.2e297)])
+@pytest.mark.parametrize("n, off_norm, target", [(ABOVE, math.inf, 1.2e297)])
 def test_convergence_error_reports_a_norm_beyond_the_float_range_as_inf(monkeypatch, n,
                                                                        off_norm, target):
     # scaling the order-ABOVE norm back used to raise numpy's "overflow
@@ -362,7 +431,7 @@ def test_char_poly_zero_pivot_short_circuit():
 
 
 def test_path_spectrum_cosines():
-    # 7 sweeps cyclically, 17, 40 and 41 in round-robin order (odd: padded)
+    # 7 runs QL, 17, 40 and 41 sweep in round-robin order (odd: padded)
     assert 7 < ROUND_ROBIN_MIN_ORDER <= 17
     for m in (7, 17, 40, 41):
         res = jacobi_eigenvalues(path_adjacency(m).astype(float))
@@ -374,72 +443,6 @@ def test_path_spectrum_cosines():
 def test_complete_graph(n):
     res = jacobi_eigenvalues(np.ones((n, n)) - np.eye(n))
     assert res.eigenvalues == pytest.approx([-1.0] * (n - 1) + [n - 1.0], abs=1e-10)
-
-
-def _numpy_cyclic_sweep(a, thresh, delay, zero_negligible):
-    """The cyclic sweep as numpy row updates, kept as the reference that the
-    list sweep must match bit for bit."""
-    n = a.shape[0]
-    rotations = 0
-    for p in range(n - 1):
-        for q in range(p + 1, n):
-            apq = a[p, q]
-            if apq * apq <= thresh:
-                continue
-            app = a[p, p]
-            aqq = a[q, q]
-            diff = aqq - app
-            if abs(apq) <= delay and abs(diff) <= delay:
-                continue
-            g = 100.0 * abs(apq)
-            if zero_negligible and abs(app) + g == abs(app) and abs(aqq) + g == abs(aqq):
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                continue
-            if abs(diff) + g == abs(diff):
-                t = apq / diff
-            else:
-                phi = diff / (2.0 * apq)
-                t = (1.0 if phi >= 0.0 else -1.0) / (abs(phi) + math.sqrt(phi * phi + 1.0))
-            c = 1.0 / math.sqrt(t * t + 1.0)
-            s = t * c
-            tau = s / (1.0 + c)
-            rp = a[p, :].copy()
-            rq = a[q, :].copy()
-            a[p, :] = rp - s * (rq + tau * rp)
-            a[q, :] = rq + s * (rp - tau * rq)
-            a[:, p] = a[p, :]
-            a[:, q] = a[q, :]
-            a[p, p] = app - t * apq
-            a[q, q] = aqq + t * apq
-            a[p, q] = 0.0
-            a[q, p] = 0.0
-            rotations += 1
-    return a, rotations
-
-
-def _cyclic_inputs(n, rng):
-    yield antiregular_adjacency(n).astype(float)
-    for _ in range(12):
-        m = rng.normal(size=(n, n))
-        yield m + m.T
-    for _ in range(14):
-        bits = (0, *rng.integers(0, 2, size=n - 2), 1)
-        a = adjacency_from_sequence(bits)
-        yield a.astype(float)
-        yield laplacian(a).astype(float)
-
-
-@pytest.mark.parametrize("n", range(2, ROUND_ROBIN_MIN_ORDER))
-def test_list_sweep_matches_numpy_row_updates(monkeypatch, n):
-    rng = np.random.default_rng(1000 + n)
-    for m in _cyclic_inputs(n, rng):
-        got = jacobi_eigenvalues(m)
-        with monkeypatch.context() as patch:
-            patch.setattr(oracle, "_cyclic_sweep", _numpy_cyclic_sweep)
-            want = jacobi_eigenvalues(m)
-        assert (got.eigenvalues, got.sweeps, got.rotations, got.off_norm) == (
-            want.eigenvalues, want.sweeps, want.rotations, want.off_norm)
 
 
 class _AllocatingStack(NamedTuple):
@@ -573,20 +576,25 @@ def test_round_robin_sweep_matches_allocating_rounds(monkeypatch, n):
 _PINNED_ORDERS = (*range(2, 65), 70, 75, 95, 120)
 
 
-def _pinned_results():
+def _pinned_results(solved):
+    """The corpus results at the orders n with solved(n).  The inputs of
+    every order are drawn all the same, so each order's inputs do not
+    depend on which orders are solved."""
     rng = np.random.default_rng(20261019)
     for n in _PINNED_ORDERS:
         a = antiregular_adjacency(n)
         b = adjacency_from_sequence((0, *rng.integers(0, 2, size=n - 2), 1))
         m = rng.normal(size=(n, n))
         m = m + m.T
+        runs = [tuple(r) for r in rng.integers(1, 5, size=(n // 2, 2))] if n % 2 == 0 else None
+        if not solved(n):
+            continue
         for x in (a, laplacian(a), b, laplacian(b)):
             yield jacobi_eigenvalues(x.astype(float))
         yield jacobi_eigenvalues(m)
-        # one power-of-two scaling per order, each way on both sweep orders
+        # one power-of-two scaling per order, each way on both methods
         yield jacobi_eigenvalues(laplacian(b) * 2.0 ** (600 if n % 2 else -600))
-        if n % 2 == 0:
-            runs = [tuple(r) for r in rng.integers(1, 5, size=(n // 2, 2))]
+        if runs:  # a quotient of order n
             yield quotient_eigenvalues(*quotient_matrix(runs))
         if n in _SIGNED_ZERO_GRAPHS:
             g = np.zeros((n, n))
@@ -595,17 +603,29 @@ def _pinned_results():
             yield jacobi_eigenvalues(-g)
 
 
-def test_outputs_are_pinned():
-    # a SHA-256 over the repr, which tells -0.0 from 0.0, of every result of
-    # the corpus, computed before the round-robin round bound its ufuncs: a
-    # changed float operation of either sweep, or a changed order of them,
-    # moves a last digit somewhere in the corpus and so the digest
+def _digest(results) -> tuple[int, str]:
+    # a SHA-256 over the repr, which tells -0.0 from 0.0, of every result: a
+    # changed float operation, or a changed order of them, moves a last digit
+    # somewhere in the corpus and so the digest
     digest = hashlib.sha256()
     count = 0
-    for res in _pinned_results():
+    for res in results:
         digest.update(repr((res.eigenvalues, res.sweeps, res.rotations,
                             res.off_norm)).encode())
         count += 1
-    assert count == 441
-    assert digest.hexdigest() == (
-        "9dd2b7f70b199db181467f6f7c940948786ab72a10fdce4860f8b1a3e7f74889")
+    return count, digest.hexdigest()
+
+
+def test_outputs_are_pinned():
+    # the Jacobi results, from ROUND_ROBIN_MIN_ORDER up, including the
+    # quotients that reach them through quotient_eigenvalues' own scaling;
+    # computed while the cyclic sweep still ran below that order
+    assert _digest(_pinned_results(lambda n: n >= ROUND_ROBIN_MIN_ORDER)) == (
+        350, "23f56580797ac4ad2df468046a965d0ead38a2ebb044efbdff332d516943412d")
+
+
+def test_outputs_below_the_switch_are_pinned():
+    # the Householder and QL results at orders 2-15, computed when that
+    # path replaced the cyclic sweep; both run on Python floats
+    assert _digest(_pinned_results(lambda n: n < ROUND_ROBIN_MIN_ORDER)) == (
+        91, "90cbfeb6226f5dad261ce5cd531a778b2aacd36b813bc3ade6d2313da4c804a0")
