@@ -293,7 +293,7 @@ def build_parser() -> _Parser:
         type=int,
         default=50,
         help="largest order checked, 2..500 (the oracle pass is cubic per order;"
-        " 200 took about 40 s and 500 about 26 minutes on 2 cores)",
+        " 200 took about 30 s and 500 about 18 minutes on 2 cores)",
     )
     p.add_argument(
         "--tamper",

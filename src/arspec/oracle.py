@@ -6,16 +6,12 @@ nothing here may share code or algorithms with it.  No library eigensolver
 or determinant routine is called; the three entry points are
 
 ``jacobi_eigenvalues``
-    all eigenvalues of a real symmetric matrix.  Below order
-    ROUND_ROBIN_MIN_ORDER, Householder tridiagonalisation (J. ACM 5, 1958)
-    and implicit QL with Wilkinson shifts (Bowdler, Martin, Reinsch and
-    Wilkinson, Numer. Math. 11, 1968), on Python lists of rows and floats.
-    From that order up, Jacobi rotations with the classical threshold
-    strategy in the round-robin order of Brent and Luk (SIAM J. Sci. Stat.
-    Comput. 6, 1985), which rotates n/2 disjoint pairs per elementwise numpy
-    step after padding an odd order by one zero row and column, each step a
-    ufunc bound once per call writing into work arrays made once per call,
-    so that a round costs its numpy calls and little else,
+    all eigenvalues of a real symmetric matrix, by Householder
+    tridiagonalisation (J. ACM 5, 1958) and implicit QL with Wilkinson
+    shifts (Bowdler, Martin, Reinsch and Wilkinson, Numer. Math. 11, 1968),
+    on Python lists of rows and floats.  It keeps the name it had when it
+    swept Jacobi rotations, because the benchmark harness looks it up by
+    that name until it reads result counters instead (ROADMAP item 7),
 ``quotient_eigenvalues``
     eigenvalues of an equitable-partition quotient matrix, obtained by the
     diagonal similarity that restores symmetry before solving it as above,
@@ -26,23 +22,10 @@ Every matrix is solved divided, exactly, by the power of two that puts its
 largest entry in [1/2, 1), so no squared norm overflows or underflows, and
 symmetry is judged relative to that entry, whatever the scale.
 
-Jacobi is quadratically convergent once off-diagonal mass is small; with
-the threshold strategy matrices up to order ~1000 converge in well under
-the 100-sweep cap.  That is the intended working range: this is an oracle
-for tests, not a production eigensolver.
-
-Threshold graphs repeat 0 once per surplus independent vertex and -1 once
-per surplus clique vertex.  Inside such a cluster of equal eigenvalues the
-diagonal entries agree to rounding, so rotating a tiny a_pq there turns
-rows p and q by 45 degrees and moves coupling the sweep has not yet removed
-back into slots it already cleared; convergence then drops from quadratic
-to a few-fold per sweep.  From the fourth sweep on a pair is left alone
-while |a_pq| and |a_qq - a_pp| are both at most delta =
-min(100 off^2 / ||A||_F, CLUSTER_CAP ||A||_F), which shrinks with off^2,
-so the cluster is rotated once the coupling around it is gone.  The rule
-cannot stall the loop, and it leaves anti-regular spectra alone: their
-eigenvalue gaps stay at least 9 times the cap up to order 2000 (see
-``_jacobi``).
+The reduction costs O(n^3) list operations and QL O(n^2) on top: A_n took
+0.12 s at order 122 and 64 s at order 1000 on 2 cores (Python 3.11).  That
+is the intended working range: this is an oracle for tests, not a
+production eigensolver.
 """
 
 from __future__ import annotations
@@ -55,57 +38,32 @@ from dataclasses import dataclass, field
 import numpy as np
 
 SYMMETRY_TOL = 1e-12
-JACOBI_TOL = 1e-12  # stop once the off-diagonal norm is this fraction of the input's
 QUOTIENT_SYMMETRY_TOL = 1e-9
-MAX_SWEEPS = 100
 _QL_ITERATIONS = 30  # per eigenvalue, as in EISPACK
-# Largest delay bound, as a fraction of the input's Frobenius norm: pairs
-# whose a_pq and a_qq - a_pp are both this small may wait for a later sweep.
-CLUSTER_CAP = 1e-10
-# Smallest order solved by Jacobi sweeps; below it Householder and QL solve
-# the matrix.  The switch does not sit at a break-even: QL was faster at
-# every order measured: 4.8 times at order 10 on 2 cores (Python 3.11), and
-# about 10 times at 120 in a prototype that ran it at every order.  It
-# stays at 16 because the move to QL is staged.  Moving the switch
-# changes the last digits of every result at the orders it moves over, and
-# the benchmark's oracle workload keeps every operation's outputs until its
-# checks, so a faster oracle fits more rounds and reads as more peak memory:
-# a prototype with QL at every order fit 274 rounds where Jacobi fit 38,
-# and its peak RSS read 52.7 MB against 34.4, past that metric's 10% bound.
-# The switch can move once the benchmark checks each operation as it ends.
-ROUND_ROBIN_MIN_ORDER = 16
 
 
 class ConvergenceError(RuntimeError):
-    """QL or Jacobi failed to converge within its cap.
+    """QL failed to converge within _QL_ITERATIONS iterations on one
+    eigenvalue.
 
-    Carries the matrix ``order`` and the iterations run as ``sweeps``: QL
-    iterations below ROUND_ROBIN_MIN_ORDER, Jacobi sweeps from it up.
-    Jacobi also gives the ``off_norm`` its sweeps left and the ``target`` it
-    had to reach, so callers can report how far from convergence the run
-    stopped; QL leaves both None.
+    Carries the matrix ``order`` and the QL iterations run in all as
+    ``sweeps``.
     """
 
-    def __init__(self, message: str, order: int | None = None, sweeps: int | None = None,
-                 off_norm: float | None = None, target: float | None = None):
+    def __init__(self, message: str, order: int | None = None, sweeps: int | None = None):
         super().__init__(message)
         self.order = order
         self.sweeps = sweeps
-        self.off_norm = off_norm
-        self.target = target
 
 
 @dataclass
 class EigenResult:
     """The eigenvalues of one matrix and the work that found them.
 
-    Below ROUND_ROBIN_MIN_ORDER, ``sweeps`` counts QL iterations,
-    ``rotations`` their plane rotations plus one for each 2 x 2 block solved
-    in closed form, and ``off_norm`` is the Frobenius norm of the
-    subdiagonal entries QL dropped as negligible; Householder reflections
-    are not counted.  From that order up, ``sweeps`` counts Jacobi sweeps,
-    ``rotations`` the rotations applied (skipped and zeroed pairs not
-    counted), and ``off_norm`` is the off-diagonal norm the sweeps left.
+    ``sweeps`` counts QL iterations, ``rotations`` their plane rotations
+    plus one for each 2 x 2 block solved in closed form, and ``off_norm`` is
+    the Frobenius norm of the subdiagonal entries QL dropped as negligible;
+    Householder reflections are not counted.
     """
 
     order: int
@@ -113,12 +71,6 @@ class EigenResult:
     sweeps: int = 0
     off_norm: float = 0.0
     rotations: int = 0
-
-
-def _off_norm(a: np.ndarray) -> float:
-    sq = a * a
-    sq.flat[::a.shape[0] + 1] = 0.0  # the diagonal
-    return math.sqrt(float(np.add.reduce(sq, None)))
 
 
 def _scale_back(x: float, shift: int) -> float:
@@ -161,38 +113,30 @@ def jacobi_eigenvalues(m) -> EigenResult:
     verdict and the results independent of the scale, and the results are
     scaled back.
 
-    Below order ROUND_ROBIN_MIN_ORDER the matrix is reduced to tridiagonal
-    form by Householder reflections and solved by implicit QL (see
-    ``_householder_ql``); from that order up it is swept by Jacobi
-    rotations (see ``_jacobi``).  Both are accurate to a few eps ||A||_F:
-    the tests hold every eigenvalue at orders 2-15 within 8 eps ||A||_F of
-    a 40-digit reference, and the worst there is 4.55 in those units
-    (Jacobi sweeps on the same matrices: 2.62).  QL trades relative
-    accuracy on small eigenvalues for speed: the least positive eigenvalue
-    of A_n, n = 2..15, lies up to 43 ulps (A_11; 9 at A_10) from the
-    double nearest its true value, where Jacobi sweeps stay within 10.
-    ``sweeps``, ``rotations`` and ``off_norm`` count each method's own work
-    (see ``EigenResult``).
+    The matrix is reduced to tridiagonal form by Householder reflections
+    and solved by implicit QL (see ``_householder_ql``), accurate to a few
+    eps ||A||_F: the tests hold every eigenvalue at orders 2-16, 20, 24, 32
+    and 40 within 8 eps ||A||_F of a 40-digit reference.  Small eigenvalues
+    are not relatively accurate: the least positive eigenvalue of A_n lies
+    up to 43 ulps (A_11) from the double nearest its true value for
+    n <= 15, and up to 136 (A_32) for n <= 40.  ``EigenResult`` counts QL's
+    work.
 
     Raises ValueError for non-square, asymmetric, complex or non-finite
     input and for an eigenvalue beyond the float range, and ConvergenceError
-    (a norm beyond it read as inf) if QL or the sweeps reach their cap.
+    if QL reaches its cap.
     """
     a, amax, shift = _normalised(_check_square(m))
     asym = float(np.max(np.abs(a - a.T)))
     if asym > SYMMETRY_TOL * amax:
         raise ValueError("matrix is not symmetric (max asymmetry %.3e)" % _scale_back(asym, shift))
     a = 0.5 * (a + a.T)
-    n = a.shape[0]
-    if n < ROUND_ROBIN_MIN_ORDER:
-        diag, sweeps, rotations, off = _householder_ql(a.tolist())
-    else:
-        diag, sweeps, rotations, off = _jacobi(a, shift)
+    diag, sweeps, rotations, off = _householder_ql(a.tolist())
     eigs = sorted(_scale_back(x, shift) for x in diag)
     if math.isinf(eigs[0]) or math.isinf(eigs[-1]):
         raise ValueError("matrix has an eigenvalue beyond the float range (%r)"
                          % sys.float_info.max)
-    return EigenResult(order=n, eigenvalues=eigs, sweeps=sweeps,
+    return EigenResult(order=a.shape[0], eigenvalues=eigs, sweeps=sweeps,
                        off_norm=_scale_back(off, shift), rotations=rotations)
 
 
@@ -210,8 +154,10 @@ def _householder_ql(rows: list[list[float]]) -> tuple[list[float], int, int, flo
     p = tau B v and w = p - (tau/2) (p' v) v.  Each entry subtracts
     v_i w_j + w_i v_j, whose two products are the same at (j, i), so the
     block stays exactly symmetric.  A column already zero below the
-    subdiagonal is left as it is.  At these orders a numpy call costs more
-    than the row it updates, so the reduction runs on Python lists.  Its dot
+    subdiagonal is left as it is.  The reduction runs on Python lists: at
+    the small orders the scans solve by the thousand a numpy call costs more
+    than the row it updates, though from a few tens up a numpy rank-two
+    update would be faster.  Its dot
     products are summed by math.fsum, which rounds correctly and so gives
     the same bits on every Python version, where sum() adds floats left to
     right up to 3.11 and with compensation from 3.12 on.
@@ -247,7 +193,15 @@ def _ql(d: list[float], e: list[float]) -> tuple[int, int, float]:
     and the Frobenius norm of the subdiagonal entries dropped.
 
     Working down from l = 0, each step finds the first m >= l whose e_m is
-    negligible, |d_m| + |d_m+1| + |e_m| == |d_m| + |d_m+1|, and drops it.
+    negligible and drops it.  e_m is negligible next to its own two
+    diagonal neighbours, |d_m| + |d_m+1| + |e_m| == |d_m| + |d_m+1|, or next
+    to the whole matrix, norm + |e_m| == norm with norm = max|d| + max|e|
+    taken once on entry, the test of EISPACK's tql1.  The first test alone
+    never passes inside a cluster of eigenvalues at 0, such as a threshold
+    graph's repeated 0, where d and e both shrink to rounding level: from
+    order 70 up some connected threshold adjacency matrices then ran out of
+    iterations.
+
     At m = l, d_l is an eigenvalue.  At m = l + 1 the 2 x 2 block is solved
     in the closed form of LAPACK's dlaev2, counted as one rotation, which is
     exact for [[0, b], [b, 0]].  Otherwise one iteration chases a bulge from
@@ -258,6 +212,7 @@ def _ql(d: list[float], e: list[float]) -> tuple[int, int, float]:
     """
     n = len(d)
     e = [*e, 0.0]
+    norm = max(map(abs, d)) + max(map(abs, e))
     iterations = rotations = 0
     dropped = 0.0
     hypot, copysign = math.hypot, math.copysign
@@ -266,7 +221,7 @@ def _ql(d: list[float], e: list[float]) -> tuple[int, int, float]:
         while True:
             for m in range(l, n - 1):
                 tst = abs(d[m]) + abs(d[m + 1])
-                if tst + abs(e[m]) == tst:
+                if tst + abs(e[m]) == tst or norm + abs(e[m]) == norm:
                     dropped = hypot(dropped, e[m])
                     e[m] = 0.0
                     break
@@ -333,252 +288,6 @@ def _eig2(a: float, b: float, c: float) -> tuple[float, float]:
         return 0.5 * rt, -0.5 * rt
     rt1 = 0.5 * (sm + math.copysign(rt, sm))
     return rt1, (acmx / rt1) * acmn - (b / rt1) * b
-
-
-def _jacobi(a: np.ndarray, shift: int) -> tuple[list[float], int, int, float]:
-    """Jacobi rotation sweeps in round-robin order over ``a``, of order at
-    least ROUND_ROBIN_MIN_ORDER: its diagonal, unordered, the sweeps and
-    rotations run and the off-diagonal norm left.
-
-    Each sweep visits every off-diagonal pair (p, q) once and annihilates
-    entries whose square exceeds a threshold (0.2 * off^2 / n^2 during the
-    first three sweeps, zero afterwards).  Rotations that would not change
-    the matrix at working precision are replaced by setting the entry to
-    zero outright, which is what makes the final sweeps terminate.  The
-    rotated diagonal entries are updated exactly, as a_pp - t a_pq and
-    a_qq + t a_pq, and a_pq is set to zero.
-
-    A sweep uses the round-robin ordering of Brent and Luk: an odd order
-    gets one zero pad row and column, which no rotation touches and whose
-    diagonal is not returned, and each of the N - 1 rounds of a sweep over
-    the even order N rotates N/2 disjoint pairs in one elementwise numpy
-    update, written into work arrays made once per call.
-
-    From the fourth sweep on, a pair with |a_pq| <= delta and
-    |a_qq - a_pp| <= delta is neither rotated nor zeroed in that sweep, where
-    delta = min(100 off^2 / ||A||_F, CLUSTER_CAP ||A||_F) and off is the
-    off-diagonal norm at the start of the sweep.  Such a pair sits in a
-    cluster of equal eigenvalues, such as the repeated 0 and -1 of a
-    threshold graph, where its rotation would be a 45 degree turn that mixes
-    uncleared coupling back into cleared slots; delta falls with off^2, so
-    the pair is rotated once the rest has converged.  This took random
-    connected threshold graphs of order 50 to 75 from 12-19 sweeps to 8-13.
-    It cannot stall: were every pair with a_pq != 0 delayed, off would be at
-    most n delta, which with delta <= 100 off^2 / ||A||_F and
-    delta <= CLUSTER_CAP ||A||_F = 1e-10 ||A||_F needs n >= 10^4, and
-    MAX_SWEEPS still bounds the loop.  Nor does it reach anti-regular
-    spectra, whose eigenvalues are simple: the cap stays below their
-    smallest gap, by a factor of 9 at order 2000, the CLI's dense limit
-    (1.4e-7 against 1.3e-6), 74 at order 1000 and 9000 at order 200, and
-    their adjacency and Laplacian results at every order up to 200 are
-    bit-identical to sweeps without the rule.
-
-    Iteration stops once the Frobenius norm of the off-diagonal part drops
-    below JACOBI_TOL times the Frobenius norm of the input.  The off-diagonal
-    norm is recomputed directly each sweep; forming it by subtracting the
-    diagonal from the total norm cancels catastrophically and would stall
-    the loop around sqrt(eps) times the matrix norm.  MAX_SWEEPS sweeps that
-    miss the target raise ConvergenceError, its norms scaled back by
-    2^shift.
-    """
-    n = a.shape[0]
-    norm = math.sqrt(float(np.sum(a * a)))
-    target = JACOBI_TOL * norm
-    if n % 2:
-        a = np.pad(a, (0, 1))
-    sweep = _round_robin(a.shape[0])
-    sweeps = rotations = 0
-    while True:
-        off = _off_norm(a)
-        if off <= target:
-            return np.diag(a)[:n].tolist(), sweeps, rotations, off
-        if sweeps == MAX_SWEEPS:
-            off, target = _scale_back(off, shift), _scale_back(target, shift)
-            raise ConvergenceError(
-                "off-diagonal norm %.3e still above target %.3e after %d sweeps"
-                % (off, target, sweeps), order=n, sweeps=sweeps, off_norm=off, target=target)
-        thresh = delay = 0.0
-        if sweeps < 3:
-            thresh = 0.2 * off * off / (n * n)
-        else:
-            delay = min(100.0 * off * (off / norm), CLUSTER_CAP * norm)
-        a, done = sweep(a, thresh, delay, sweeps > 3)
-        rotations += done
-        sweeps += 1
-
-
-def _stack(h: int) -> tuple[np.ndarray, ...]:
-    """A (3, h, h) stack of the round-robin sweep, as the views its rounds use:
-    the blocks X, Y and Z, X and Z together, the pivot rows (their diagonals)
-    a_pp and a_qq together and one by one with a_pq between them, the stack
-    and the stack flat."""
-    blocks = np.empty((3, h, h))
-    pivots = blocks.reshape(3, -1)[:, ::h + 1]
-    return (*blocks, blocks[::2], pivots[::2], *pivots, blocks, blocks.reshape(-1))
-
-
-def _round_robin(n: int):
-    """The round-robin sweep over matrices of even order N = n = 2h: a
-    function that takes the matrix, the threshold, the delay and whether to
-    zero negligible pairs, and returns the rotated
-    matrix, in the input's row order, and the rotations applied.
-
-    Round by round, index slot i of the top half [0, h) is paired with slot
-    i of the bottom half [h, N).  The sweep keeps the three blocks
-    X = a[top, top], Y = a[top, bottom] and Z = a[bottom, bottom] as one
-    contiguous (3, h, h) stack, so the pivots a_pp, a_pq and a_qq are their
-    diagonals.  With CC, CS, SC and SS the outer products c c', c s', s c'
-    and s s' of the per-pair cosines and sines, a round is
-
-        X <- (CC*X + SS*Z) - (U + U'),  U = CS*Y
-        Z <- (SS*X + CC*Z) + (W + W'),  W = SC*Y
-        Y <- (CS*X - SC*Z) + (CC*Y - (SS*Y)')
-
-    which keeps X and Z exactly symmetric, followed by the exact pivot
-    updates.  Between rounds every slot but slot 0 passes its index one step
-    around the ring h, 1, 2, .., h-1, N-1, N-2, .., h+1, so every pair meets
-    once in N - 1 rounds and the sweep ends in its starting order.
-
-    The ring's gather plan, every work array and the views of them that a
-    round reads are made here, once per ``jacobi_eigenvalues`` call, and
-    each step of a round writes into one of them, so a round allocates
-    nothing and costs little beyond its numpy calls.
-    """
-    h = n // 2
-    ring = np.r_[h, 1:h, n - 1:h:-1]
-    step = np.arange(n)
-    step[np.roll(ring, -1)] = ring
-    top, bottom = step[:h, None], step[h:, None]
-
-    def offset(u, v):
-        # position of a[u, v] in the flattened (X, Y, Z) stack
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        return np.where(hi < h, lo * h + hi, (h + lo) * h + hi - h)
-
-    gather = np.concatenate([offset(top, top.T), offset(top, bottom.T),
-                             offset(bottom, bottom.T)], axis=None)
-    stacks = _stack(h), _stack(h)
-    full = np.empty((n, n))
-    # per-pair vectors: a_qq - a_pp, |a_pq|, a_pq^2 and max(|a_pq|, |diff|),
-    # 100 |a_pq|, 2 a_pq, the denominator of t, t and t a_pq
-    diff, aq, sq, wide, g, twice, den, t, tapq = np.empty((9, h))
-    # the operands 2, 100 and 1 and the sweep's thresh and delay, one per
-    # pair: a float scalar costs a ufunc call more than an h-vector does
-    two, hundred, one = np.full((3, h), [[2.0], [100.0], [1.0]])
-    thresholds, delays = np.empty((2, h))
-    rot, outside, moves, keep = np.empty((4, h), dtype=bool)
-    d, dg = np.empty((2, 2, h))  # |a_pp|, |a_qq| and those plus g
-    moved = np.empty((2, h), dtype=bool)
-    moved_p, moved_q = moved
-    cs = np.empty((2, h))
-    c, s = cs
-    cs_rows, cs_cols = cs[:, None, :, None], cs[None, :, None, :]
-    o = np.empty((4, h, h))
-    outer = o.reshape(2, 2, h, h)
-    cc, ss, cc_ss, ss_cc, cs_sc = o[0], o[3], o[::3], o[::-3], o[1:3]
-    # X and Z partial stacks: the sums CC*X + SS*Z and SS*X + CC*Z, their
-    # second terms and then CS*X and SC*Z, U and W, U + U' and W + W'
-    mixed, terms, uw, uw_sym = np.empty((4, 2, h, h))
-    mixed_x, mixed_z = mixed
-    terms_x, terms_z = terms
-    uw_x, uw_z = uw_sym
-    uw_t = uw.transpose(0, 2, 1)
-    ccy, ssy = uw
-    ssy_t = ssy.T
-
-    # every ufunc a round calls, bound once: at the orders swept here a call
-    # costs more than its arithmetic on h elements or an h x h block, and a
-    # keyword out costs more than a positional one
-    subtract, absolute, multiply, add, divide = (
-        np.subtract, np.absolute, np.multiply, np.add, np.divide)
-    greater, maximum, not_equal = np.greater, np.maximum, np.not_equal
-    logical_and, logical_or, logical_not = np.logical_and, np.logical_or, np.logical_not
-    hypot, copysign, count_nonzero = np.hypot, np.copysign, np.count_nonzero
-    clear_t = t.fill
-
-    def sweep(a: np.ndarray, thresh: float, delay: float,
-              zero_negligible: bool) -> tuple[np.ndarray, int]:
-        cur, nxt = stacks
-        x, y, z, *_ = cur
-        x[...] = a[:h, :h]
-        y[...] = a[:h, h:]
-        z[...] = a[h:, h:]
-        thresholds.fill(thresh)
-        delays.fill(delay)
-        rotations = 0
-        for _ in range(n - 1):
-            x, y, z, xz, ends, app, apq, aqq, _, _ = cur
-            subtract(aqq, app, diff)
-            absolute(apq, aq)
-            multiply(apq, apq, sq)
-            greater(sq, thresholds, rot)
-            if delay:  # pairs inside a cluster of equal eigenvalues wait
-                absolute(diff, wide)
-                maximum(aq, wide, out=wide)  # a positional out is deprecated here
-                greater(wide, delays, outside)
-                logical_and(rot, outside, rot)
-            done = rot
-            if zero_negligible:  # a pair that moves neither pivot is zeroed
-                multiply(hundred, aq, g)
-                absolute(ends, d)
-                add(d, g, dg)
-                not_equal(dg, d, moved)
-                logical_or(moved_p, moved_q, moves)
-                logical_and(rot, moves, moves)
-                done = moves
-            count = int(count_nonzero(done))
-            if count:
-                # t = tan(phi) of the smaller rotation annihilating a_pq, left
-                # at 0 for the pairs not rotated; hypot keeps diff^2 from
-                # overflowing
-                multiply(two, apq, twice)
-                hypot(diff, twice, den)
-                copysign(den, diff, den)
-                add(diff, den, den)
-                clear_t(0.0)
-                divide(twice, den, out=t, where=done)
-                hypot(t, one, c)
-                divide(one, c, c)
-                multiply(t, c, s)
-                multiply(cs_rows, cs_cols, outer)
-                multiply(cc_ss, x, mixed)
-                multiply(ss_cc, z, terms)
-                add(mixed, terms, mixed)
-                multiply(cs_sc, y, uw)
-                add(uw, uw_t, uw_sym)
-                bx, by, bz, _, _, bpp, _, bqq, _, _ = nxt
-                subtract(mixed_x, uw_x, bx)
-                add(mixed_z, uw_z, bz)
-                multiply(cs_sc, xz, terms)
-                subtract(terms_x, terms_z, by)
-                multiply(cc, y, ccy)
-                multiply(ss, y, ssy)
-                subtract(ccy, ssy_t, ccy)
-                add(by, ccy, by)
-                multiply(t, apq, tapq)
-                subtract(app, tapq, bpp)
-                add(aqq, tapq, bqq)
-                cur, nxt = nxt, cur
-                rotations += count
-            # a_pq of every pair rotated or found negligible becomes exactly 0,
-            # by a multiply that keeps its sign, not a store of +0.0: a later
-            # unrotated pair's pivot a_pp - 0 a_pq takes the sign of such a
-            # zero, and a pair whose a_qq - a_pp is then +-0 turns by +45 or
-            # -45 degrees through copysign, which moves the eigenvalues
-            logical_not(rot, keep)
-            multiply(apq, keep, cur[6])  # into cur's a_pq
-            # cur's blocks into nxt's flat view; every index is valid, and
-            # mode="raise" would buffer the output
-            cur[8].take(gather, out=nxt[9], mode="clip")
-            cur, nxt = nxt, cur
-        x, y, z, *_ = cur
-        full[:h, :h] = x
-        full[:h, h:] = y
-        full[h:, :h] = y.T
-        full[h:, h:] = z
-        return full, rotations
-
-    return sweep
 
 
 def quotient_eigenvalues(m, cell_sizes) -> EigenResult:
