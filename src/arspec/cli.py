@@ -8,7 +8,8 @@ Verbs:
   figure-data  CSV curve samples for external plotting
   density      shorthand for figure-data --which density
 
-Exit codes: 0 success, 2 a mathematical check failed, 64 usage error.
+Exit codes: 0 success, 2 a mathematical check failed, 64 usage error or a
+solver failure on an order the range checks let through.
 """
 
 from __future__ import annotations
@@ -347,7 +348,7 @@ def main(argv=None) -> int:
             sys.stdout.write(text)
         else:
             _replace_out(args.out, text)
-    except ValueError as exc:
+    except (ValueError, solver.BracketRootError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     if failure:

@@ -13,10 +13,11 @@ The scans cover every connected threshold graph of a given order
 check two spectral statements: no nontrivial eigenvalue falls inside the
 forbidden interval, and the eigenvalues nearest that interval over the
 whole family belong to the anti-regular graph.  Exact eigenvalue counts by
-Sylvester inertia decide the graphs in chunks of 2^14, streamed depth first
-through one elimination, so a scan holds a few chunks and the indices they
-flag, never an array over the whole order.  The dense oracle runs only on
-the few flagged graphs, so reported values are dense ones.
+Sylvester inertia at both ends of one window decide the graphs in chunks of
+2^14, streamed depth first through one elimination, so a scan holds a few
+chunks and the indices they flag, never an array over the whole order.  The
+dense oracle runs only on the few flagged graphs, so reported values are
+dense ones.
 """
 
 from __future__ import annotations
@@ -174,7 +175,7 @@ def _dense_row(bits):
     return (sequence_to_string(bits),) + _graph_stats(bits)
 
 
-_CHUNK_BITS = 14  # 2^14 graphs per chunk, all x together: 2^13 to 2^14 ran fastest at order 26
+_CHUNK_BITS = 14  # 2^14 graphs per chunk, both x together: fastest at order 26 of 2^13 to 2^16
 _BOTH = np.array([[0.0], [1.0]])  # a free vertex: the b = 0 batch, then the b = 1 batch
 
 
@@ -257,13 +258,13 @@ def omega_scan(n: int, workers: int | None = None) -> ScanReport:
     A violation is an eigenvalue more than 1e-9 from 0 and -1 and more than
     1e-9 inside both interval endpoints; each is listed with its creation
     sequence, and none is expected (Ghorbani, Linear Algebra Appl., 2019).
-    The dense oracle runs once on the anti-regular graph, whose extremes
-    place two of the four count thresholds, so one inertia pass then counts
-    all four.  It also runs on each graph whose exact counts show a
-    nontrivial eigenvalue in a window slightly wider than the violation
-    window or within 3 TIE_TOL beyond an anti-regular extreme, or hit a zero
-    pivot; each chunk of counts is flagged as it arrives, and the flagged
-    graphs run in sequence order, the anti-regular row reused in its slot.
+    The dense oracle runs once on the anti-regular graph.  Each graph's
+    counts below lo and below hi, one inertia pass, show whether a nontrivial
+    eigenvalue lies in [lo, hi): the interval less GAP_MARGIN / 2 at each
+    end, widened to 3 TIE_TOL beyond each anti-regular extreme.  The oracle
+    also runs on each graph where one does or a pivot was zero; each chunk
+    of counts is flagged as it arrives, and the flagged graphs run in
+    sequence order, the anti-regular row reused in its slot.
     Each reported extreme is the first graph in sequence order within
     TIE_TOL of the extreme over the family.  That extreme is at or beyond
     the anti-regular one, so every graph the rule can name is flagged, and
@@ -278,16 +279,14 @@ def omega_scan(n: int, workers: int | None = None) -> ScanReport:
     anti_m = int("".join(map(str, anti[:-1])), 2)
     anti_row = _dense_row(anti)
     anti_min, anti_max = anti_row[2:]
-    # without an extreme (n = 2) flag every graph with a value beyond the window
-    xs = [FORBIDDEN_LO + GAP_MARGIN / 2, FORBIDDEN_HI - GAP_MARGIN / 2,
-          np.inf if anti_min is None else anti_min + 3 * TIE_TOL,
-          -np.inf if anti_max is None else anti_max - 3 * TIE_TOL]
+    # without an extreme (n = 2) the window reaches past every value on that side
+    lo, hi = FORBIDDEN_LO + GAP_MARGIN / 2, FORBIDDEN_HI - GAP_MARGIN / 2
+    lo = -np.inf if anti_max is None else min(lo, anti_max - 3 * TIE_TOL)
+    hi = np.inf if anti_min is None else max(hi, anti_min + 3 * TIE_TOL)
     kept = []
-    for m0, (below_lo, below_hi, beyond_min, beyond_max) in inertia_chunks(n, xs):
+    for m0, (below_lo, below_hi) in inertia_chunks(n, [lo, hi]):
         m = m0 + np.arange(below_lo.size)
         flagged = (below_hi - below_lo != _trivial_count(n, m)) | (below_lo < 0) | (below_hi < 0)
-        # an undecided count differs from its edge, or the edge is undecided and flagged
-        flagged |= (beyond_min != below_hi) | (beyond_max != below_lo)
         kept.append(m[flagged | (m == anti_m)])
     # chunks arrive out of order; the violations and the tie rule go in sequence order
     dense = [anti_row if m == anti_m else _dense_row(_creation_sequence(n, int(m)))

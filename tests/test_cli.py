@@ -313,6 +313,19 @@ def test_huge_orders_are_usage_errors(capsys, argv, bound):
         assert err.startswith("error: ") and err.endswith(" must be <= %d, got %d\n" % (bound, value))
 
 
+@pytest.mark.parametrize("argv, order", [
+    (("spectrum", "--n", "9007199254740993"), 9007199254740993),
+    (("density", "--k", "4503599627370496"), 9007199254740992),
+])
+def test_solver_failure_is_an_error_line(capsys, argv, order):
+    # orders within the range checks whose first brackets find no root once
+    # ended in a BracketRootError traceback, exit 1
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: no sign change in bracket ")
+    assert " of order %d " % order in err and err.count("\n") == 1
+
+
 def test_figure_options_are_checked_only_where_read(capsys):
     # theta ignores --k and density ignores --points
     theta = run(capsys, "figure-data", "--which", "theta", "--points", "20")

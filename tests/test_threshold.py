@@ -334,22 +334,35 @@ def test_scan_equals_dense_scan():
         assert omega_scan(n).to_json() == _dense_report(n).to_json(), n
 
 
-def test_negative_control_flags_every_violation(monkeypatch, capsys):
-    # real eigenvalues between 0.207 and 0.3 now fall inside the interval
-    monkeypatch.setattr(threshold, "FORBIDDEN_HI", 0.3)
+@pytest.mark.parametrize("bound, value, count", [
+    ("FORBIDDEN_HI", 0.3, 43), ("FORBIDDEN_LO", -1.3, 40)], ids=["hi", "lo"])
+def test_negative_control_flags_every_violation(monkeypatch, capsys, bound, value, count):
+    # real eigenvalues between 0.207 and 0.3, or between -1.3 and -1.207,
+    # now fall inside the interval, past the anti-regular extreme
+    monkeypatch.setattr(threshold, bound, value)
     for n in range(2, 11):
         report, dense = omega_scan(n), _dense_report(n)
         assert report.omega_violations == dense.omega_violations, n
         assert report.to_json() == dense.to_json(), n
-    assert len(omega_scan(10).omega_violations) == 43
+    assert len(omega_scan(10).omega_violations) == count
     assert cli.main(["scan", "--n", "8"]) == cli.EXIT_CHECK_FAILED
     assert "forbidden-interval violations at n=8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bound, value, count", [
+    ("FORBIDDEN_HI", 0.3, 1010), ("FORBIDDEN_LO", -1.3, 991)], ids=["hi", "lo"])
+def test_negative_control_across_many_chunks(monkeypatch, bound, value, count):
+    # 64 chunks of 64 graphs arrive depth first, out of sequence order; the
+    # counts are those of the default chunk size
+    monkeypatch.setattr(threshold, "_CHUNK_BITS", 6)
+    monkeypatch.setattr(threshold, bound, value)
+    assert len(omega_scan(14).omega_violations) == count
+
+
 @pytest.mark.parametrize("fault", ["window", "pivot"])
 def test_faulty_counts_send_the_graph_to_the_dense_route(monkeypatch, fault):
-    # graph m = 5 gets a window count off by one (its upper edge moved with
-    # it), or undecided counts
+    # graph m = 5 gets its count below the window's upper end off by one,
+    # or undecided counts
     chunks = threshold.inertia_chunks
 
     def faulty(n, xs):
