@@ -155,9 +155,9 @@ def _householder_ql(rows: list[list[float]]) -> tuple[list[float], int, int, flo
     v_i w_j + w_i v_j, whose two products are the same at (j, i), so the
     block stays exactly symmetric.  A column already zero below the
     subdiagonal is left as it is.  The reduction runs on Python lists: at
-    the small orders the scans solve by the thousand a numpy call costs more
-    than the row it updates, though from a few tens up a numpy rank-two
-    update would be faster.  Its dot
+    small orders, such as the one to a few graphs per order that a scan
+    solves densely, a numpy call costs more than the row it updates, though
+    from a few tens up a numpy rank-two update would be faster.  Its dot
     products are summed by math.fsum, which rounds correctly and so gives
     the same bits on every Python version, where sum() adds floats left to
     right up to 3.11 and with compensation from 3.12 on.

@@ -180,16 +180,15 @@ _BOTH = np.array([[0.0], [1.0]])  # a free vertex: the b = 0 batch, then the b =
 
 
 def _eliminate(c, neg, x, b):
-    """Pivot out the last vertex, bit b (0, 1 or _BOTH), of every entry:
-    the new shift c - (b + c)^2 / d, formed in one array; a zero pivot
-    leaves an infinite or NaN shift."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        d = c - x
-        shift = b + c
-        shift **= 2
-        shift /= d
-        np.subtract(c, shift, out=shift)
-    return shift, np.broadcast_to(neg + (d < 0), shift.shape)
+    """Pivot out the last vertex, bit b (0, 1 or _BOTH: a row per bit), of
+    every entry: the shift c - (b + c)^2 / d, infinite or NaN at a zero pivot
+    d = c - x, and neg plus one where d, the same for both bits, is < 0."""
+    d = c - x
+    shift = b + c
+    shift **= 2
+    shift /= d
+    np.subtract(c, shift, out=shift)
+    return shift, neg + (d < 0)
 
 
 def inertia_chunks(n: int, xs):
@@ -204,40 +203,41 @@ def inertia_chunks(n: int, xs):
     Algebra Appl. 439, 2013): vertex i with bit b has pivot d = c - x and
     leaves c - (b + c)^2 / d, and by Sylvester's law of inertia the negative
     pivots count the eigenvalues below x.  d does not depend on b, so each
-    free vertex doubles the batch.  The lowest _CHUNK_BITS bits of m are
-    doubled once for all chunks; the higher vertices are finished depth
+    free vertex doubles the batch.  The lowest _CHUNK_BITS bits of m double
+    in one loop, once for all chunks; the higher vertices are finished depth
     first, so graphs that share those bits share their elimination.
     """
-    x = np.asarray(xs, dtype=float)[:, None]
-    c, neg = _eliminate(np.zeros((len(x), 1)), np.zeros((len(x), 1), dtype=np.int8), x, 1.0)
+    n = _checked_int("n", n, 2, MAX_SCAN_ORDER)
+    x = np.asarray(xs, dtype=float)[:, None, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        c, neg = _eliminate(np.zeros(x.shape), np.zeros(x.shape, dtype=np.int8), x, 1.0)
     yield from _finish(c, neg, x, n - 2, 0, 1)
 
 
 def _finish(c, neg, x, i, m0, step):
     """Pivot out vertices i down to 0 of a batch whose vertices above i are
-    done, vertex i adding step to m when its bit is 1, and graph m0 + j in
-    column j; yield (m0, counts) per chunk.  Below 2^_CHUNK_BITS graphs the
-    batch doubles in place; from there it splits depth first."""
-    if i == 0:
-        c, neg = _eliminate(c, neg, x, 0.0)
+    done, vertex i adding step to m when its bit is 1, graph m0 + j in entry
+    [k, 0, j]: the batch doubles in one loop up to 2^_CHUNK_BITS graphs, then
+    splits depth first; yield (m0, counts) per chunk, outside np.errstate."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while i and step < 1 << _CHUNK_BITS:  # the batch holds step graphs
+            c, neg = _eliminate(c, neg, x, _BOTH)
+            c, neg = c.reshape(len(x), 1, -1), np.concatenate((neg, neg), axis=2)
+            i, step = i - 1, 2 * step
+        c, neg = _eliminate(c, neg, x, _BOTH if i else 0.0)
+    if not i:
         # a zero pivot's infinite or NaN shift lasts through vertex 0
-        yield m0, np.where(np.isfinite(c), neg, -1)
-        return
-    c, neg = _eliminate(c[:, None], neg[:, None], x[:, None], _BOTH)
-    if step < 1 << _CHUNK_BITS:  # the batch holds step graphs, m0 .. m0 + step - 1
-        yield from _finish(c.reshape(len(x), -1), neg.reshape(len(x), -1), x, i - 1, m0, 2 * step)
+        yield m0, np.where(np.isfinite(c), neg, -1)[:, 0]
         return
     for b in (0, 1):
-        yield from _finish(c[:, b], neg[:, b], x, i - 1, m0 + b * step, 2 * step)
+        yield from _finish(c[:, b, None], neg, x, i - 1, m0 + b * step, 2 * step)
 
 
 def _trivial_count(n: int, m) -> np.ndarray:
     """Exact multiplicity of 0 and -1 together, for the middle-bit integers
-    m: the adjacent equal bits of the creation sequence, n - 1 less its
-    changes, plus one when it starts 01 (vertices 0 and 1 are then adjacent
-    twins, another -1)."""
-    s = 2 * np.asarray(m) + 1  # the sequence after vertex 0, vertex 1 highest
-    return n - 1 - np.bitwise_count(s ^ (s >> 1)) + ((s >> (n - 2)) & 1)
+    m: one for vertices 0 and 1 (equal bits, or adjacent twins 01), and one
+    per equal adjacent pair of the n - 1 bits of 2m + 1, vertex 1 highest."""
+    return n - 1 - np.bitwise_count(((2 * m + 1) ^ m) & ((1 << (n - 2)) - 1))
 
 
 def _fold(dense, col: int, sign: float):
@@ -283,14 +283,14 @@ def omega_scan(n: int, workers: int | None = None) -> ScanReport:
     lo, hi = FORBIDDEN_LO + GAP_MARGIN / 2, FORBIDDEN_HI - GAP_MARGIN / 2
     lo = -np.inf if anti_max is None else min(lo, anti_max - 3 * TIE_TOL)
     hi = np.inf if anti_min is None else max(hi, anti_min + 3 * TIE_TOL)
-    kept = []
-    for m0, (below_lo, below_hi) in inertia_chunks(n, [lo, hi]):
-        m = m0 + np.arange(below_lo.size)
-        flagged = (below_hi - below_lo != _trivial_count(n, m)) | (below_lo < 0) | (below_hi < 0)
-        kept.append(m[flagged | (m == anti_m)])
+    kept = {anti_m}
+    for m0, counts in inertia_chunks(n, [lo, hi]):
+        m = np.arange(m0, m0 + counts.shape[1])
+        flagged = (counts[1] - counts[0] != _trivial_count(n, m)) | (np.minimum(*counts) < 0)
+        kept.update(m[flagged].tolist())
     # chunks arrive out of order; the violations and the tie rule go in sequence order
-    dense = [anti_row if m == anti_m else _dense_row(_creation_sequence(n, int(m)))
-             for m in np.sort(np.concatenate(kept))]
+    dense = [anti_row if m == anti_m else _dense_row(_creation_sequence(n, m))
+             for m in sorted(kept)]
     return ScanReport(
         n=n,
         graphs_scanned=1 << (n - 2),

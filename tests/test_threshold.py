@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -281,6 +282,32 @@ def test_zero_pivot_is_undecided():
     assert _stitched(5, [-1.0])[0, -1] == -1
 
 
+@pytest.mark.parametrize("n", [1, 0, 2.5, 31])
+def test_inertia_chunks_rejects_out_of_range_orders(n):
+    # refused before any elimination; orders 1 and 0 used to split until
+    # the recursion limit, and 31 would count 2^29 graphs
+    with pytest.raises(ValueError, match="n must"):
+        next(threshold.inertia_chunks(n, [0.5]))
+
+
+def test_inertia_pass_leaves_numpy_error_state_alone(monkeypatch):
+    # order 9 comes in 16 chunks of 8 graphs, and x = 0 divides by a zero
+    # pivot; the pass silences that only between its own yields
+    monkeypatch.setattr(threshold, "_CHUNK_BITS", 3)
+    with np.errstate(all="raise"):
+        caller = np.geterr()
+        chunks = 0
+        for _, counts in threshold.inertia_chunks(9, [0.0, 0.5]):
+            assert np.geterr() == caller
+            assert (counts[0] == -1).all()
+            chunks += 1
+        assert chunks == 16
+        stream = threshold.inertia_chunks(9, [0.5, 0.0])
+        next(stream)
+        stream.close()
+        assert np.geterr() == caller
+
+
 @settings(max_examples=300, deadline=None)
 @given(middle=st.lists(st.integers(0, 1), max_size=58),
        x=st.fractions(-10, 30, max_denominator=1000))
@@ -327,6 +354,14 @@ def test_scan_runs_each_graph_densely_once(monkeypatch, n):
     omega_scan(n)
     assert antiregular_sequence(n) in calls
     assert len(calls) == len(set(calls))
+
+
+def test_small_scan_reports_are_pinned():
+    # every report of orders 2-20, byte for byte, in one digest
+    digest = hashlib.sha256()
+    for n in range(2, 21):
+        digest.update(omega_scan(n).to_json().encode("utf-8"))
+    assert digest.hexdigest() == "79d29801b9fa28cde0e106880537c6a1b8368eb0cd6546d12554227b9d0a7439"
 
 
 def test_scan_equals_dense_scan():
