@@ -189,13 +189,13 @@ def eventual_containment(epsilon: float, parity: str, rng) -> CheckResult:
     of end within epsilon of end and outside the gap, at both ends of the
     forbidden interval: the abstract's "for all n sufficiently large", with
     N as the explicit bound.  Checked at N, N + 2, ..., N + 400 and at 20
-    orders drawn by rng from N + 402..10^6 of N's parity."""
+    orders drawn by rng from N + 402..max(10^6, 2N) of N's parity."""
     name = "eventual-containment"
     witnesses = []
     for end, sign, outward in ((solver.FORBIDDEN_HI, 1, 1.0), (solver.FORBIDDEN_LO, -1, -1.0)):
         n = solver.closure_witness(end, epsilon, parity)[0]
         witnesses.append(n)
-        larger = [rng.randrange(n + 402, 10 ** 6 + 1, 2) for _ in range(20)]
+        larger = [rng.randrange(n + 402, max(10 ** 6, 2 * n) + 1, 2) for _ in range(20)]
         for m in [*range(n, n + 401, 2), *larger]:
             lam = solver._bracket_roots(m, sign, [1])[1][0]
             if not 0.0 < (lam - end) * outward < epsilon:

@@ -23,9 +23,8 @@ largest entry in [1/2, 1), so no squared norm overflows or underflows, and
 symmetry is judged relative to that entry, whatever the scale.
 
 The reduction costs O(n^3) list operations and QL O(n^2) on top: A_n took
-0.12 s at order 122 and 64 s at order 1000 on 2 cores (Python 3.11).  That
-is the intended working range: this is an oracle for tests, not a
-production eigensolver.
+0.12 s at order 122 and 51-70 s at order 1000 on 2 cores (Python 3.11),
+within the working range of an oracle for tests, not a production solver.
 """
 
 from __future__ import annotations
@@ -141,10 +140,10 @@ def jacobi_eigenvalues(m) -> EigenResult:
 
 
 def _householder_ql(rows: list[list[float]]) -> tuple[list[float], int, int, float]:
-    """Eigenvalues of a symmetric matrix given as its rows: the eigenvalues,
-    unordered, the QL iterations and plane rotations run, and the Frobenius
-    norm of the subdiagonal entries dropped as negligible, on both sides of
-    the diagonal.
+    """Eigenvalues of a symmetric matrix given as its rows, which it
+    consumes: the eigenvalues, unordered, the QL iterations and plane
+    rotations run, and the Frobenius norm of the subdiagonal entries
+    dropped as negligible, on both sides of the diagonal.
 
     Householder's reduction (J. ACM 5, 1958) clears column k below the
     subdiagonal, in the form of LAPACK's dlarfg and dsytd2: the reflection
@@ -154,33 +153,34 @@ def _householder_ql(rows: list[list[float]]) -> tuple[list[float], int, int, flo
     p = tau B v and w = p - (tau/2) (p' v) v.  Each entry subtracts
     v_i w_j + w_i v_j, whose two products are the same at (j, i), so the
     block stays exactly symmetric.  A column already zero below the
-    subdiagonal is left as it is.  The reduction runs on Python lists: at
-    small orders, such as the one to a few graphs per order that a scan
-    solves densely, a numpy call costs more than the row it updates, though
-    from a few tens up a numpy rank-two update would be faster.  Its dot
-    products are summed by math.fsum, which rounds correctly and so gives
-    the same bits on every Python version, where sum() adds floats left to
-    right up to 3.11 and with compensation from 3.12 on.
+    subdiagonal is left as it is.  Each step pops the head row, deletes the
+    first entry of every other row and overwrites each with its update, so
+    no step copies the trailing block.  The rows are Python lists: at small
+    orders, such as the one to a few graphs per order that a scan solves
+    densely, a numpy call costs more than the row it updates, though from a
+    few tens up a numpy rank-two update would be faster.  Dot products are
+    summed by math.fsum, which rounds correctly on every Python version,
+    where sum() adds left to right up to 3.11 and compensates from 3.12.
     """
     diag, sub = [], []
     mul, fsum = operator.mul, math.fsum
     while len(rows) > 1:
-        head, *rest = rows
+        head = rows.pop(0)
         x = head[1:]  # the column below the diagonal, by symmetry
         beta = x[0]
-        rest = [row[1:] for row in rest]
+        for row in rows:
+            del row[0]
         if any(x[1:]):
             beta = -math.copysign(math.hypot(*x), x[0])
             tau = (beta - x[0]) / beta
             v = [1.0, *(xi / (x[0] - beta) for xi in x[1:])]
-            p = [tau * fsum(map(mul, row, v)) for row in rest]
+            p = [tau * fsum(map(mul, row, v)) for row in rows]
             k = -0.5 * tau * fsum(map(mul, p, v))
             w = [pi + k * vi for pi, vi in zip(p, v)]
-            rest = [[b - (vi * wj + wi * vj) for b, vj, wj in zip(row, v, w)]
-                    for row, vi, wi in zip(rest, v, w)]
+            for row, vi, wi in zip(rows, v, w):
+                row[:] = [b - (vi * wj + wi * vj) for b, vj, wj in zip(row, v, w)]
         diag.append(head[0])
         sub.append(beta)
-        rows = rest
     diag.append(rows[0][0])
     return diag, *_ql(diag, sub)
 

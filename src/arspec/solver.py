@@ -418,8 +418,9 @@ def solve_spectrum(n: int) -> SpectrumResult:
 
     Solves one root per branch per bracket and inserts the trivial
     eigenvalue analytically.  Raises BracketRootError (with the offending
-    bracket index) if any bracket refuses to produce its root; this does
-    not happen for any supported order.
+    bracket index) if any bracket refuses to produce its root.  The range
+    check lets orders up to 2^53 + 1 through, but from about 2^50 on a
+    bracket can show no sign change: the first one of order 2^53 + 1 does.
     """
     n = _checked_int("n", n, 2, _MAX_ORDER)
     thetas_pos, positives, residuals_pos, evals_pos = _bracket_roots(n, 1, range(1, n // 2 + 1))
@@ -446,8 +447,11 @@ def last_bracket_ratio(k: int) -> float:
     """Relative position of the largest eigenvalue's angle in its bracket.
 
     For order 2k, returns (theta_k - gamma_{k-1}) / (pi - gamma_{k-1}); the
-    value drifts toward 1/2 as k grows.  Only the last bracket is solved,
-    so large k stay cheap.
+    value drifts toward 1/2 as k grows, by about 0.25/k.  Only the last
+    bracket is solved, so large k stay cheap.  k is taken up to 2^52, but
+    past about 2^23 the rounding of the last pole swamps that excess: it
+    reads 1.66e-8 at k = 2^24, against 1.49e-8 from 0.25/k, and exactly 1/2
+    at 2^28.
     """
     k = _checked_int("k", k, 2, _MAX_K)
     lo, hi = bracket_poles(2 * k, k)

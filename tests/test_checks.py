@@ -97,3 +97,24 @@ def test_eventual_containment_catches_an_eigenvalue_on_the_gap_end(monkeypatch):
     result = checks.eventual_containment(1e-3, "even", random.Random(0))
     assert_fails(result, "eigenvalue %r not within 0.001 of %r at n=54"
                  % (solver.FORBIDDEN_LO, solver.FORBIDDEN_LO))
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_eventual_containment_draws_past_a_witness_beyond_a_million(monkeypatch, parity):
+    # at 1e-12 both witness orders exceed 10^6 - 402, so the 20 drawn
+    # orders must come from above 10^6: from N + 402..2N
+    upper, lower = (solver.closure_witness(end, 1e-12, parity)[0]
+                    for end in (solver.FORBIDDEN_HI, solver.FORBIDDEN_LO))
+    assert min(upper, lower) > 10 ** 6 - 402
+    solve, orders = solver._bracket_roots, {1: [], -1: []}
+
+    def recording(n, sign, js):
+        orders[sign].append(n)
+        return solve(n, sign, js)
+
+    monkeypatch.setattr(solver, "_bracket_roots", recording)
+    result = checks.eventual_containment(1e-12, parity, random.Random(1))
+    assert result.status == checks.PASS, result.line()
+    for n, sign in ((upper, 1), (lower, -1)):
+        assert orders[sign][-221:-20] == list(range(n, n + 401, 2))
+        assert all(n + 402 <= m <= 2 * n and m % 2 == n % 2 for m in orders[sign][-20:])

@@ -5,6 +5,7 @@ against hand-computable spectra, internal consistency identities and a
 import hashlib
 import math
 import sys
+import tracemalloc
 import warnings
 
 import mpmath
@@ -72,6 +73,16 @@ def test_two_by_two_closed_form():
     disc = math.sqrt((a - c) ** 2 + 4.0 * b * b)
     want = sorted([(a + c - disc) / 2.0, (a + c + disc) / 2.0])
     assert res.eigenvalues == pytest.approx(want, abs=1e-12)
+
+
+def test_two_by_two_tie_of_the_diagonal_gap_and_twice_b():
+    # scaled by 1/2 to a = 1/2, b = 1/4, c = 0, so |a - c| = |2b| and the
+    # closed form takes its tie branch, rt = |2b| sqrt(2)
+    res = jacobi_eigenvalues([[1.0, 0.5], [0.5, 0.0]])
+    with mpmath.workdps(40):
+        want = [(1 - mpmath.sqrt(2)) / 2, (1 + mpmath.sqrt(2)) / 2]
+        for got, exact in zip(res.eigenvalues, want):
+            assert abs(got - exact) <= math.ulp(float(exact))
 
 
 def test_trace_preserved():
@@ -411,6 +422,29 @@ def test_path_spectrum_cosines():
 def test_complete_graph(n):
     res = jacobi_eigenvalues(np.ones((n, n)) - np.eye(n))
     assert res.eigenvalues == pytest.approx([-1.0] * (n - 1) + [n - 1.0], abs=1e-10)
+
+
+def test_reduction_holds_one_copy_of_the_matrix():
+    # the rows of A_100 as Python floats take about 0.3 MiB and the peak
+    # reads 0.39 MiB; a second copy of the trailing block would pass 0.5
+    a = antiregular_adjacency(100)
+    tracemalloc.start()
+    try:
+        jacobi_eigenvalues(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 19
+
+
+@pytest.mark.parametrize("as_list", [False, True])
+def test_solvers_leave_the_input_alone(as_list):
+    a = antiregular_adjacency(20).astype(float)
+    q, sizes = quotient_matrix([(1, 2), (3, 1), (2, 2)])
+    for solve, m, args in ((jacobi_eigenvalues, a, ()), (quotient_eigenvalues, q, (sizes,))):
+        given = m.tolist() if as_list else m.copy()
+        solve(given, *args)
+        assert (given == m.tolist()) if as_list else np.array_equal(given, m)
 
 
 # edges of graphs whose negated adjacency, -0.0 off the edges, puts signed
