@@ -99,7 +99,7 @@ def _normalised(a: np.ndarray) -> tuple[np.ndarray, float, int]:
     """a 2^-e, its largest entry max|a_ij| 2^-e and e = frexp(max|a_ij|)[1]
     (0 for the zero matrix), which puts that entry in [1/2, 1).  The
     division is exact for entries of at least 2^-1021 max|a_ij|."""
-    amax, shift = math.frexp(float(np.max(np.abs(a))))
+    amax, shift = math.frexp(float(np.maximum.reduce(np.abs(a), axis=None)))
     return np.ldexp(a, -shift), amax, shift
 
 
@@ -126,10 +126,15 @@ def jacobi_eigenvalues(m) -> EigenResult:
     if QL reaches its cap.
     """
     a, amax, shift = _normalised(_check_square(m))
-    asym = float(np.max(np.abs(a - a.T)))
-    if asym > SYMMETRY_TOL * amax:
-        raise ValueError("matrix is not symmetric (max asymmetry %.3e)" % _scale_back(asym, shift))
-    a = 0.5 * (a + a.T)
+    bits = a.view(np.uint64)
+    # averaging would leave a bitwise symmetric matrix as it is: 0.5 (x + x)
+    # is x for every finite double, signed zeros included
+    if not (bits == bits.T).all():
+        asym = float(np.max(np.abs(a - a.T)))
+        if asym > SYMMETRY_TOL * amax:
+            raise ValueError("matrix is not symmetric (max asymmetry %.3e)"
+                             % _scale_back(asym, shift))
+        a = 0.5 * (a + a.T)
     diag, sweeps, rotations, off = _householder_ql(a.tolist())
     eigs = sorted(_scale_back(x, shift) for x in diag)
     if math.isinf(eigs[0]) or math.isinf(eigs[-1]):
@@ -173,7 +178,8 @@ def _householder_ql(rows: list[list[float]]) -> tuple[list[float], int, int, flo
         if any(x[1:]):
             beta = -math.copysign(math.hypot(*x), x[0])
             tau = (beta - x[0]) / beta
-            v = [1.0, *(xi / (x[0] - beta) for xi in x[1:])]
+            h = x[0] - beta
+            v = [1.0, *(xi / h for xi in x[1:])]
             p = [tau * fsum(map(mul, row, v)) for row in rows]
             k = -0.5 * tau * fsum(map(mul, p, v))
             w = [pi + k * vi for pi, vi in zip(p, v)]

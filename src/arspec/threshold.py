@@ -15,7 +15,8 @@ forbidden interval, and the eigenvalues nearest that interval over the
 whole family belong to the anti-regular graph.  Exact eigenvalue counts by
 Sylvester inertia at both ends of one window decide the graphs in chunks of
 2^14, streamed depth first through one elimination, so a scan holds a few
-chunks and the indices they flag, never an array over the whole order.  The
+chunks and the indices they flag, never an array over the whole order, and
+each level of the split eliminates into buffers made once per pass.  The
 dense oracle runs only on the few flagged graphs, so reported values are
 dense ones.
 """
@@ -28,12 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import (
-    _check_sequence,
-    adjacency_from_sequence,
-    antiregular_sequence,
-    sequence_to_string,
-)
+from .graphs import _check_sequence, adjacency_from_sequence, antiregular_sequence
 from .oracle import jacobi_eigenvalues, quotient_eigenvalues
 from .solver import FORBIDDEN_HI, FORBIDDEN_LO, _checked_int
 
@@ -84,12 +80,11 @@ def threshold_spectrum(bits, method: str = "quotient") -> list[float]:
     extra independent vertex.  The quotient route needs a connected graph
     and is dramatically smaller for blocky sequences.
     """
-    b = _check_sequence(bits)
     if method == "full":
-        return jacobi_eigenvalues(adjacency_from_sequence(b)).eigenvalues
+        return jacobi_eigenvalues(adjacency_from_sequence(bits)).eigenvalues
     if method != "quotient":
         raise ValueError("method must be 'full' or 'quotient', got %r" % (method,))
-    runs = run_length_encode(b)
+    runs = run_length_encode(bits)
     matrix, sizes = quotient_matrix(runs)
     eigs = list(quotient_eigenvalues(matrix, sizes).eigenvalues)
     eigs.extend([0.0] * sum(s - 1 for s, _ in runs))
@@ -171,24 +166,33 @@ def _graph_stats(bits):
 
 
 def _dense_row(bits):
-    """(sequence string, violations, min positive, max nontrivial negative)."""
-    return (sequence_to_string(bits),) + _graph_stats(bits)
+    """(sequence string, violations, min positive, max nontrivial negative)
+    of a tuple of ints, checked once, by _graph_stats."""
+    return ("".join(map(str, bits)),) + _graph_stats(bits)
 
 
-_CHUNK_BITS = 14  # 2^14 graphs per chunk, both x together: fastest at order 26 of 2^13 to 2^16
+_CHUNK_BITS = 14  # 2^14 graphs per chunk, both x: ties 2^13, beats 2^15 and 2^16 at orders 26, 28
 _BOTH = np.array([[0.0], [1.0]])  # a free vertex: the b = 0 batch, then the b = 1 batch
 
 
-def _eliminate(c, neg, x, b):
+def _eliminate(c, neg, x, b, out=None):
     """Pivot out the last vertex, bit b (0, 1 or _BOTH: a row per bit), of
     every entry: the shift c - (b + c)^2 / d, infinite or NaN at a zero pivot
-    d = c - x, and neg plus one where d, the same for both bits, is < 0."""
-    d = c - x
-    shift = b + c
+    d = c - x, and neg plus one where d, the same for both bits, is < 0.
+    out, if given, is (shift, counts, pivot, below): the two results go into
+    the first two, d and d < 0 into the others, and nothing is allocated."""
+    if out is None:
+        d = c - x
+        shift, below, counts = b + c, d < 0, None
+    else:
+        shift, counts, d, below = out
+        np.subtract(c, x, out=d)
+        np.add(b, c, out=shift)
+        np.less(d, 0, out=below)
     shift **= 2
     shift /= d
     np.subtract(c, shift, out=shift)
-    return shift, neg + (d < 0)
+    return shift, np.add(neg, below, out=counts)
 
 
 def inertia_chunks(n: int, xs):
@@ -196,7 +200,8 @@ def inertia_chunks(n: int, xs):
     threshold graph of order n, one chunk of consecutive middle-bit
     integers m at a time: yields (m0, counts), where counts[k, j] is the
     count below xs[k] of graph m0 + j, int8, and -1 where a pivot was zero
-    or not finite.  Chunks come depth first, not in order of m0.
+    or not finite.  Chunks come depth first, not in order of m0, and each
+    is a new array, which later chunks leave alone.
 
     Eliminating A - xI from the last vertex to the first leaves a block
     whose entries all carry one shift c (Jacobs, Trevisan and Tura, Linear
@@ -209,28 +214,35 @@ def inertia_chunks(n: int, xs):
     """
     n = _checked_int("n", n, 2, MAX_SCAN_ORDER)
     x = np.asarray(xs, dtype=float)[:, None, None]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        c, neg = _eliminate(np.zeros(x.shape), np.zeros(x.shape, dtype=np.int8), x, 1.0)
-    yield from _finish(c, neg, x, n - 2, 0, 1)
+    yield from _finish(np.zeros(x.shape), np.zeros(x.shape, dtype=np.int8), x, n - 1, 0, 0)
 
 
-def _finish(c, neg, x, i, m0, step):
+def _finish(c, neg, x, i, m0, step, out=None):
     """Pivot out vertices i down to 0 of a batch whose vertices above i are
-    done, vertex i adding step to m when its bit is 1, graph m0 + j in entry
-    [k, 0, j]: the batch doubles in one loop up to 2^_CHUNK_BITS graphs, then
-    splits depth first; yield (m0, counts) per chunk, outside np.errstate."""
+    done, vertex i adding step to m when its bit is 1 (step 0: vertex n - 1,
+    bit 1), graph m0 + j in entry [k, 0, j]: the batch doubles in one loop
+    up to 2^_CHUNK_BITS graphs, then splits depth first, level i eliminating
+    into out[i], made once per pass; yield (m0, counts) per chunk, outside
+    np.errstate."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if not step:
+            c, neg = _eliminate(c, neg, x, 1.0)
+            i, step = i - 1, 1
         while i and step < 1 << _CHUNK_BITS:  # the batch holds step graphs
             c, neg = _eliminate(c, neg, x, _BOTH)
             c, neg = c.reshape(len(x), 1, -1), np.concatenate((neg, neg), axis=2)
             i, step = i - 1, 2 * step
-        c, neg = _eliminate(c, neg, x, _BOTH if i else 0.0)
+        if i and out is None:  # each level's shift and counts, one shared pivot and sign
+            shared = np.empty(c.shape), np.empty(c.shape, dtype=bool)
+            out = [(np.empty((len(x), 1 + (j > 0), step)), np.empty(c.shape, dtype=np.int8),
+                    *shared) for j in range(i + 1)]
+        c, neg = _eliminate(c, neg, x, _BOTH if i else 0.0, out and out[i])
     if not i:
         # a zero pivot's infinite or NaN shift lasts through vertex 0
         yield m0, np.where(np.isfinite(c), neg, -1)[:, 0]
         return
     for b in (0, 1):
-        yield from _finish(c[:, b, None], neg, x, i - 1, m0 + b * step, 2 * step)
+        yield from _finish(c[:, b, None], neg, x, i - 1, m0 + b * step, 2 * step, out)
 
 
 def _trivial_count(n: int, m) -> np.ndarray:

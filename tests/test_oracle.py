@@ -244,6 +244,38 @@ def test_rejects_asymmetric_and_bad_shapes():
         jacobi_eigenvalues(np.zeros((0, 0)))
 
 
+def _solved(a):
+    result = jacobi_eigenvalues(a)
+    return repr((result.eigenvalues, result.sweeps, result.rotations, result.off_norm))
+
+
+def test_nearly_symmetric_input_solves_as_its_average():
+    # a bitwise symmetric matrix is solved as given, any other one as its
+    # average: -0.0 above the diagonal against +0.0 below, or entries apart
+    # by less than SYMMETRY_TOL, give the bits of their average passed in.
+    # The zeros sit where Householder takes the sign of its reflection from
+    # them.  Every largest entry lies in [2, 4), so all share one power of two
+    rng = np.random.default_rng(11)
+    upper = np.triu(rng.uniform(2.0, 3.5, (7, 7)))
+    upper[0, 1] = upper[2, 3] = upper[1, 5] = 0.0
+    sym = upper + np.triu(upper, 1).T
+    signed = sym.copy()
+    signed[np.triu(sym == 0.0, 1)] = -0.0
+    assert (np.signbit(signed) != np.signbit(signed.T)).any()
+    skewed = sym.copy()
+    skewed[0, 1:] *= 1.0 + 1e-13
+    assert 0 < np.max(np.abs(skewed - skewed.T)) <= oracle.SYMMETRY_TOL * np.max(skewed)
+    for a in (signed, skewed):
+        average = 0.5 * (a + a.T)
+        assert math.frexp(np.max(a))[1] == math.frexp(np.max(average))[1] == 2
+        assert _solved(a) == _solved(average)
+    # past the tolerance the verdict and its message are as before
+    past = sym.copy()
+    past[0, 1] = sym[1, 0] + 2.0 ** -30
+    with pytest.raises(ValueError, match=r"not symmetric \(max asymmetry 9\.313e-10\)"):
+        jacobi_eigenvalues(past)
+
+
 def _with_entry(n, i, j, value):
     a = path_adjacency(n).astype(float)
     a[i, j] = a[j, i] = value

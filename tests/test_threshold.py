@@ -276,6 +276,21 @@ def test_batched_counts_keep_batches_small(monkeypatch):
         (m0, (1, 8)) for m0 in (0, 16, 8, 24)]
 
 
+def test_kept_chunks_stay_intact(monkeypatch):
+    # a consumer may keep every chunk: those of orders 9 and 13 (16 and 256
+    # chunks of 8 graphs, the pass splitting through its per-level buffers)
+    # still equal the one-batch counts after the pass has ended
+    xs = [-1.3, 0.0, 0.21, FORBIDDEN_LO]
+    for n in (9, 13):
+        monkeypatch.setattr(threshold, "_CHUNK_BITS", 20)
+        (_, whole), = threshold.inertia_chunks(n, xs)
+        monkeypatch.setattr(threshold, "_CHUNK_BITS", 3)
+        chunks = list(threshold.inertia_chunks(n, xs))
+        assert sorted(m0 for m0, _ in chunks) == list(range(0, 1 << (n - 2), 8))
+        for m0, counts in chunks:
+            assert np.array_equal(counts, whole[:, m0:m0 + 8]), (n, m0)
+
+
 def test_zero_pivot_is_undecided():
     # x = 0 is the pivot of the last vertex of every graph; -1 hits K_n's clique
     assert (_stitched(7, [0.0]) == -1).all()
@@ -362,6 +377,14 @@ def test_small_scan_reports_are_pinned():
     for n in range(2, 21):
         digest.update(omega_scan(n).to_json().encode("utf-8"))
     assert digest.hexdigest() == "79d29801b9fa28cde0e106880537c6a1b8368eb0cd6546d12554227b9d0a7439"
+
+
+def test_large_scan_reports_are_pinned():
+    # orders 21-24, 32 to 256 chunks through the split levels' shared buffers
+    digest = hashlib.sha256()
+    for n in range(21, 25):
+        digest.update(omega_scan(n).to_json().encode("utf-8"))
+    assert digest.hexdigest() == "706adc307dc0426f22ee4bab02fb678a9158eefd38118491ab04a262c44ed8ef"
 
 
 def test_scan_equals_dense_scan():
