@@ -298,8 +298,9 @@ def _bracket_roots(n: int, sign: int, js) -> tuple[list, list, list, list]:
     p = k - 1 if odd else 2 * k - 1
     big = max(k, p) > _DIRECT_MULT_LIMIT
     kf, pf = float(k), float(p)
-    # above pi/2, sin(j theta) = (-1)^(j+1) sin(j (pi - theta)), as in _sin_mult
-    flip_k, flip_p = k % 2 == 0, p % 2 == 0
+    # above pi/2, sin(j theta) = (-1)^(j+1) sin(j (pi - theta)), as in _sin_mult;
+    # multiplying by 1.0 or -1.0 is exact, signed zeros included
+    sign_k, sign_p = (1.0 if k % 2 else -1.0), (1.0 if p % 2 else -1.0)
     branch = branch_positive if sign > 0 else branch_negative
     sg = 1.0 if sign > 0 else -1.0  # sign as a float: the same products, faster
     thetas, lams, resids, counts = [], [], [], []
@@ -319,11 +320,8 @@ def _bracket_roots(n: int, sign: int, js) -> tuple[list, list, list, list]:
                 sk, sp = sin(kf * mid), sin(pf * x)
             else:
                 sup = (pi - mid) + pi_lo
-                sk = -sin(kf * sup) if flip_k else sin(kf * sup)
-                if odd:
-                    sp = -sin(pf * sup) if flip_p else sin(pf * sup)
-                else:
-                    sp = sin(pf * half)
+                sk = sign_k * sin(kf * sup)
+                sp = sign_p * sin(pf * sup) if odd else sin(pf * half)
             if odd:
                 fm = sp / sk - (3.0 * c1 - 1.0 + sg * sqrt(c1 * (c1 + 2.0)))
             elif half == 0.0:  # theta = 5e-324

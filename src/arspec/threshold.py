@@ -179,16 +179,13 @@ def _eliminate(c, neg, x, b, out=None):
     """Pivot out the last vertex, bit b (0, 1 or _BOTH: a row per bit), of
     every entry: the shift c - (b + c)^2 / d, infinite or NaN at a zero pivot
     d = c - x, and neg plus one where d, the same for both bits, is < 0.
-    out, if given, is (shift, counts, pivot, below): the two results go into
-    the first two, d and d < 0 into the others, and nothing is allocated."""
-    if out is None:
-        d = c - x
-        shift, below, counts = b + c, d < 0, None
-    else:
-        shift, counts, d, below = out
-        np.subtract(c, x, out=d)
-        np.add(b, c, out=shift)
-        np.less(d, 0, out=below)
+    out is (shift, counts, pivot, below), each an array or None: the two
+    results go into the first two, d and d < 0 into the others, and numpy
+    allocates only what is None, everything when out is."""
+    shift, counts, d, below = out or (None,) * 4
+    d = np.subtract(c, x, out=d)
+    shift = np.add(b, c, out=shift)
+    below = np.less(d, 0, out=below)
     shift **= 2
     shift /= d
     np.subtract(c, shift, out=shift)
@@ -252,6 +249,18 @@ def _trivial_count(n: int, m) -> np.ndarray:
     return n - 1 - np.bitwise_count(((2 * m + 1) ^ m) & ((1 << (n - 2)) - 1))
 
 
+def _shifted_trivial_count(n: int, m0: int, trivial) -> np.ndarray:
+    """_trivial_count(n, m0 + j) for j below len(trivial) = 2^low, a power
+    of two dividing m0, from trivial = _trivial_count(n, j).  The pairs among
+    m0's bits shift every count by one constant, which pairs bit low with a
+    0; where bit low is set and so is bit low - 1 of j (the upper half), that
+    pair is equal, and the constant and trivial had each counted it unequal."""
+    counts = trivial - (((2 * m0) ^ m0) & ((1 << (n - 2)) - 1)).bit_count()
+    if m0 & len(trivial):
+        counts[len(trivial) // 2:] += 2
+    return counts
+
+
 def _fold(dense, col: int, sign: float):
     """The first (sequence, value) of column col of the dense rows, in
     sequence order, whose value lies within TIE_TOL of the column's extreme
@@ -296,10 +305,13 @@ def omega_scan(n: int, workers: int | None = None) -> ScanReport:
     lo = -np.inf if anti_max is None else min(lo, anti_max - 3 * TIE_TOL)
     hi = np.inf if anti_min is None else max(hi, anti_min + 3 * TIE_TOL)
     kept = {anti_m}
+    # a chunk holds the graphs m0 + j, j below 2^low, low = min(n - 2, _CHUNK_BITS);
+    # up to order 16 the one chunk has m0 = 0 and needs no shift
+    trivial = _trivial_count(n, np.arange(1 << min(n - 2, _CHUNK_BITS)))
     for m0, counts in inertia_chunks(n, [lo, hi]):
-        m = np.arange(m0, m0 + counts.shape[1])
-        flagged = (counts[1] - counts[0] != _trivial_count(n, m)) | (np.minimum(*counts) < 0)
-        kept.update(m[flagged].tolist())
+        expected = _shifted_trivial_count(n, m0, trivial) if m0 else trivial
+        flagged = (counts[1] - counts[0] != expected) | (np.minimum(*counts) < 0)
+        kept.update(m0 + j for j in flagged.nonzero()[0].tolist())
     # chunks arrive out of order; the violations and the tie rule go in sequence order
     dense = [anti_row if m == anti_m else _dense_row(_creation_sequence(n, m))
              for m in sorted(kept)]

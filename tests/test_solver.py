@@ -414,6 +414,20 @@ def test_spans_across_poles_match_the_reference_loop(monkeypatch, span):
                 n, sign)
 
 
+@pytest.mark.parametrize("n", [1_200_000, 2_000_004, 2_000_005])
+def test_big_multiplier_brackets_match_the_reference_loop(n):
+    # real brackets past the direct-product limit: at 1,200,000 only 2k - 1
+    # passes it, at 2,000,004 and 2,000,005 both multipliers do
+    k = n // 2
+    p = k - 1 if n % 2 else 2 * k - 1
+    assert p > solver._DIRECT_MULT_LIMIT and (k > solver._DIRECT_MULT_LIMIT) == (n > 2 * 10**6)
+    for sign in (1, -1):
+        for j in sorted({1, 2, k // 2, k - 1, k}):
+            got, want = (_outcome(lambda n, sign, _: solve(n, sign, [j]), n, sign)
+                         for solve in (_bracket_roots, _reference_roots))
+            assert got == want, (n, sign, j)
+
+
 # Table 1's half orders, then half orders whose sine multipliers pass 10^6
 _RATIO_KS = (125, 250, 500, 1000, 2000, 4000, 8000, 16000,
              2_483_630, 5_098_402, 8 * 10**6, 2**23 + 1)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import tracemalloc
@@ -234,6 +235,21 @@ def test_trivial_count_matches_bit_formula(n):
     assert threshold._trivial_count(n, m).tolist() == expected
 
 
+@pytest.mark.parametrize("n", range(2, threshold.MAX_SCAN_ORDER + 1))
+def test_chunk_trivial_counts_shift_the_first_chunk(n):
+    # graph m0 + j's count from graph j's, for every chunk of 2^low graphs at
+    # orders up to 16 and sampled chunks above, with bit low of m0 set and clear
+    rng = np.random.default_rng(n)
+    for low in sorted({min(n - 2, bits) for bits in (1, 2, 3, 5, 14)}):
+        j = np.arange(1 << low)
+        trivial = threshold._trivial_count(n, j)
+        chunks = 1 << (n - 2 - low)
+        m0s = range(chunks) if chunks <= 1 << 13 else [0, 1, chunks - 1, *rng.integers(0, chunks, 64)]
+        for m0 in (int(m) << low for m in m0s):
+            want = threshold._trivial_count(n, m0 + j)
+            assert np.array_equal(threshold._shifted_trivial_count(n, m0, trivial), want), (n, m0)
+
+
 def test_count_chunks_match_one_batch(monkeypatch):
     xs = [-1.3, 0.21]
     whole = {n: _stitched(n, xs) for n in (5, 9, 13)}
@@ -345,6 +361,32 @@ def test_count_matches_exact_elimination(middle, x):
     if len(seq) <= 12:
         m = int("0" + "".join(map(str, middle)), 2)
         assert _stitched(len(seq), [x])[0, m] == neg
+
+
+@pytest.mark.parametrize("b", [0.0, 1.0, threshold._BOTH])
+def test_eliminate_writes_each_buffer_it_is_given(b):
+    # every subset of (shift, counts, pivot, below) given: the results equal
+    # the allocating call's bit for bit, the signed infinities and NaNs of
+    # zero pivots included, and each buffer given is the array written
+    x = np.array([0.0, -1.25])[:, None, None]
+    c = np.tile([0.5, 0.25, -3.0, 7.5, 0.0, -0.0, 2.0, -1.25], (2, 1, 1))
+    neg = np.arange(16, dtype=np.int8).reshape(2, 1, 8)
+    rows = 2 if b is threshold._BOTH else 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = threshold._eliminate(c, neg, x, b)
+        for given in itertools.product((False, True), repeat=4):
+            bufs = (np.full((2, rows, 8), np.nan), np.full((2, 1, 8), 99, dtype=np.int8),
+                    np.full((2, 1, 8), np.nan), np.zeros((2, 1, 8), dtype=bool))
+            got = threshold._eliminate(c, neg, x, b, [buf if g else None
+                                                      for buf, g in zip(bufs, given)])
+            for result, expected, buf, g in zip(got, want, bufs, given):
+                assert (result.dtype, result.shape) == (expected.dtype, expected.shape)
+                assert result.tobytes() == expected.tobytes(), given
+                assert np.shares_memory(result, buf) == g, given
+            if given[2]:
+                assert bufs[2].tobytes() == (c - x).tobytes(), given
+            if given[3]:
+                assert np.array_equal(bufs[3], c - x < 0), given
 
 
 def _dense_report(n):
