@@ -81,25 +81,32 @@ def _scale_back(x: float, shift: int) -> float:
 
 
 def _check_square(m) -> np.ndarray:
+    """m as a square, nonempty float array; finiteness is left to the
+    caller (_normalised, or char_poly_eval's own test)."""
     a = np.asarray(m)
-    if np.iscomplexobj(a):
+    if a.dtype.kind == "c":
         # converting to float would drop the imaginary parts
         raise ValueError("matrix must be real, got complex entries")
-    a = a.astype(float, copy=False)
+    try:
+        a = a.astype(float, copy=False)
+    except OverflowError:  # a Python int such as 10**400
+        raise ValueError("matrix has entries beyond the float range") from None
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square, got shape %r" % (a.shape,))
     if a.shape[0] == 0:
         raise ValueError("matrix must be nonempty")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix has non-finite entries")
     return a
 
 
 def _normalised(a: np.ndarray) -> tuple[np.ndarray, float, int]:
     """a 2^-e, its largest entry max|a_ij| 2^-e and e = frexp(max|a_ij|)[1]
     (0 for the zero matrix), which puts that entry in [1/2, 1).  The
-    division is exact for entries of at least 2^-1021 max|a_ij|."""
-    amax, shift = math.frexp(float(np.maximum.reduce(np.abs(a), axis=None)))
+    division is exact for entries of at least 2^-1021 max|a_ij|.  The same
+    maximum decides finiteness: np.maximum carries NaN and inf through."""
+    amax = float(np.maximum.reduce(np.abs(a), axis=None))
+    if not math.isfinite(amax):
+        raise ValueError("matrix has non-finite entries")
+    amax, shift = math.frexp(amax)
     return np.ldexp(a, -shift), amax, shift
 
 
@@ -122,21 +129,20 @@ def jacobi_eigenvalues(m) -> EigenResult:
     work.
 
     Raises ValueError for non-square, asymmetric, complex or non-finite
-    input and for an eigenvalue beyond the float range, and ConvergenceError
-    if QL reaches its cap.
+    input, for entries or an eigenvalue beyond the float range, and
+    ConvergenceError if QL reaches its cap.
     """
     a, amax, shift = _normalised(_check_square(m))
-    bits = a.view(np.uint64)
     # averaging would leave a bitwise symmetric matrix as it is: 0.5 (x + x)
     # is x for every finite double, signed zeros included
-    if not (bits == bits.T).all():
+    if a.tobytes() != a.T.tobytes():
         asym = float(np.max(np.abs(a - a.T)))
         if asym > SYMMETRY_TOL * amax:
             raise ValueError("matrix is not symmetric (max asymmetry %.3e)"
                              % _scale_back(asym, shift))
         a = 0.5 * (a + a.T)
     diag, sweeps, rotations, off = _householder_ql(a.tolist())
-    eigs = sorted(_scale_back(x, shift) for x in diag)
+    eigs = sorted(map(_scale_back, diag, [shift] * len(diag)))
     if math.isinf(eigs[0]) or math.isinf(eigs[-1]):
         raise ValueError("matrix has an eigenvalue beyond the float range (%r)"
                          % sys.float_info.max)
@@ -178,8 +184,8 @@ def _householder_ql(rows: list[list[float]]) -> tuple[list[float], int, int, flo
         if any(x[1:]):
             beta = -math.copysign(math.hypot(*x), x[0])
             tau = (beta - x[0]) / beta
-            h = x[0] - beta
-            v = [1.0, *(xi / h for xi in x[1:])]
+            h = x[0] = x[0] - beta
+            v = [xi / h for xi in x]  # h / h is exactly 1.0
             p = [tau * fsum(map(mul, row, v)) for row in rows]
             k = -0.5 * tau * fsum(map(mul, p, v))
             w = [pi + k * vi for pi, vi in zip(p, v)]
@@ -225,12 +231,16 @@ def _ql(d: list[float], e: list[float]) -> tuple[int, int, float]:
     for l in range(n):
         tries = 0
         while True:
+            dm = abs(d[l])  # |d_m|, carried from one m to the next
             for m in range(l, n - 1):
-                tst = abs(d[m]) + abs(d[m + 1])
-                if tst + abs(e[m]) == tst or norm + abs(e[m]) == norm:
+                dnext = abs(d[m + 1])
+                tst = dm + dnext
+                em = abs(e[m])
+                if tst + em == tst or norm + em == norm:
                     dropped = hypot(dropped, e[m])
                     e[m] = 0.0
                     break
+                dm = dnext
             else:
                 m = n - 1
             if m == l:
@@ -312,7 +322,7 @@ def quotient_eigenvalues(m, cell_sizes) -> EigenResult:
     jacobi_eigenvalues divides out again, so entries near the float range
     neither overflow nor lose a bit: every step is exact for normal numbers.
     """
-    a = _check_square(m)
+    a, _, shift = _normalised(_check_square(m))
     sizes = list(cell_sizes)
     if len(sizes) != a.shape[0]:
         raise ValueError(
@@ -322,7 +332,6 @@ def quotient_eigenvalues(m, cell_sizes) -> EigenResult:
     if any(not 1 <= s <= sys.float_info.max or s != int(s) for s in sizes):
         raise ValueError("cell sizes must be positive integers")
     d = np.sqrt(np.asarray(sizes, dtype=float))
-    a, _, shift = _normalised(a)
     sym = a * d[:, None] / d[None, :]
     asym = float(np.max(np.abs(sym - sym.T)))
     if asym > QUOTIENT_SYMMETRY_TOL * float(np.max(np.abs(sym))):
@@ -342,6 +351,8 @@ def char_poly_eval(m, t: float) -> float:
     such as 10**400 beyond the float range.
     """
     a = _check_square(m)
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
     # the range first: float(10**400) overflows, and nan fails both tests
     if not -sys.float_info.max <= t <= sys.float_info.max:
         raise ValueError("t must be finite and within the float range")

@@ -449,7 +449,10 @@ def last_bracket_ratio(k: int) -> float:
     bracket is solved, so large k stay cheap.  k is taken up to 2^52, but
     past about 2^23 the rounding of the last pole swamps that excess: it
     reads 1.66e-8 at k = 2^24, against 1.49e-8 from 0.25/k, and exactly 1/2
-    at 2^28.
+    at 2^28.  Further up the values are wrong: 0.5001554243083618 at
+    k = 2^40, where 0.25/k is about 2.3e-13, 0.5714285714285714 at 2^49 and
+    0.6666666666666666 at 2^50, and at 2^51 and 2^52 the bracket shows no
+    sign change and BracketRootError is raised (ROADMAP item 3).
     """
     k = _checked_int("k", k, 2, _MAX_K)
     lo, hi = bracket_poles(2 * k, k)
@@ -462,7 +465,8 @@ def innermost_eigenvalues(k: int) -> tuple[float, float | None]:
     These are the nontrivial eigenvalues closest to the forbidden interval;
     the positive one decreases toward its endpoint as k grows and the
     negative one increases toward the other.  k = 1 has no negative-branch
-    root, reported as None.
+    root, reported as None.  k = 2^50 raises BracketRootError, as
+    last_bracket_ratio does from 2^51 (ROADMAP item 3).
     """
     k = _checked_int("k", k, 1, _MAX_K)
     lam_pos = _bracket_roots(2 * k, 1, [1])[1][0]

@@ -15,8 +15,9 @@ forbidden interval, and the eigenvalues nearest that interval over the
 whole family belong to the anti-regular graph.  Exact eigenvalue counts by
 Sylvester inertia at both ends of one window decide the graphs in chunks of
 2^14, streamed depth first through one elimination, so a scan holds a few
-chunks and the indices they flag, never an array over the whole order, and
-each level of the split eliminates into buffers made once per pass.  The
+chunks and the indices they flag, never an array over the whole order; the
+levels below the split add their pivot signs in place into one count array,
+and each level of the split eliminates into buffers made once per pass.  The
 dense oracle runs only on the few flagged graphs, so reported values are
 dense ones.
 """
@@ -155,13 +156,15 @@ class ScanReport:
 
 
 def _graph_stats(bits):
-    """(violations, min positive, max nontrivial negative) for one graph."""
+    """(violations, min positive, max nontrivial negative) for one graph:
+    the eigenvalues come ascending, so each extreme is the first found from
+    its end."""
     eigs = threshold_spectrum(bits, method="full")
     nontrivial = [lam for lam in eigs if abs(lam) > TRIVIAL_TOL and abs(lam + 1.0) > TRIVIAL_TOL]
     return (
         [lam for lam in nontrivial if FORBIDDEN_LO + GAP_MARGIN < lam < FORBIDDEN_HI - GAP_MARGIN],
-        min((lam for lam in eigs if lam > TRIVIAL_TOL), default=None),
-        max((lam for lam in nontrivial if lam < 0), default=None),
+        next((lam for lam in eigs if lam > TRIVIAL_TOL), None),
+        next((lam for lam in reversed(nontrivial) if lam < 0), None),
     )
 
 
@@ -185,7 +188,7 @@ def _eliminate(c, neg, x, b, out=None):
     shift, counts, d, below = out or (None,) * 4
     d = np.subtract(c, x, out=d)
     shift = np.add(b, c, out=shift)
-    below = np.less(d, 0, out=below)
+    below = np.less(d, 0.0, out=below)
     shift **= 2
     shift /= d
     np.subtract(c, shift, out=shift)
@@ -211,29 +214,34 @@ def inertia_chunks(n: int, xs):
     """
     n = _checked_int("n", n, 2, MAX_SCAN_ORDER)
     x = np.asarray(xs, dtype=float)[:, None, None]
-    yield from _finish(np.zeros(x.shape), np.zeros(x.shape, dtype=np.int8), x, n - 1, 0, 0)
+    yield from _finish(np.zeros(x.shape), None, x, n - 1, 0, 0)
 
 
 def _finish(c, neg, x, i, m0, step, out=None):
     """Pivot out vertices i down to 0 of a batch whose vertices above i are
     done, vertex i adding step to m when its bit is 1 (step 0: vertex n - 1,
-    bit 1), graph m0 + j in entry [k, 0, j]: the batch doubles in one loop
-    up to 2^_CHUNK_BITS graphs, then splits depth first, level i eliminating
-    into out[i], made once per pass; yield (m0, counts) per chunk, outside
-    np.errstate."""
+    bit 1, and neg None), graph m0 + j in entry [k, 0, j]: the batch doubles
+    in one loop up to 2^_CHUNK_BITS graphs, each level adding its signs in
+    place into counts of that final width, then splits depth first, level i
+    eliminating into out[i], made once per pass; yield (m0, counts) per
+    chunk, outside np.errstate."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if not step:
-            c, neg = _eliminate(c, neg, x, 1.0)
+            neg = np.zeros((len(x), 1, 1 << min(i - 1, _CHUNK_BITS)), dtype=np.int8)
+            c, _ = _eliminate(c, neg, x, 1.0, (None, neg, None, None))
             i, step = i - 1, 1
         while i and step < 1 << _CHUNK_BITS:  # the batch holds step graphs
-            c, neg = _eliminate(c, neg, x, _BOTH)
-            c, neg = c.reshape(len(x), 1, -1), np.concatenate((neg, neg), axis=2)
-            i, step = i - 1, 2 * step
+            # graph j of the final width has the signs of entry j mod step
+            view = neg.reshape(len(x), -1, step)
+            c, _ = _eliminate(c, view, x, _BOTH, (None, view, None, None))
+            c, i, step = c.reshape(len(x), 1, -1), i - 1, 2 * step
         if i and out is None:  # each level's shift and counts, one shared pivot and sign
             shared = np.empty(c.shape), np.empty(c.shape, dtype=bool)
             out = [(np.empty((len(x), 1 + (j > 0), step)), np.empty(c.shape, dtype=np.int8),
                     *shared) for j in range(i + 1)]
-        c, neg = _eliminate(c, neg, x, _BOTH if i else 0.0, out and out[i])
+        # without a split (out None) the last vertex adds in place too
+        c, neg = _eliminate(c, neg, x, _BOTH if i else 0.0,
+                            out[i] if out else (None, neg, None, None))
     if not i:
         # a zero pivot's infinite or NaN shift lasts through vertex 0
         yield m0, np.where(np.isfinite(c), neg, -1)[:, 0]
@@ -296,9 +304,8 @@ def omega_scan(n: int, workers: int | None = None) -> ScanReport:
     n = _checked_int("n", n, 2, MAX_SCAN_ORDER)
     if workers is not None:
         _checked_int("workers", workers, 1)
-    anti = antiregular_sequence(n)
-    anti_m = int("".join(map(str, anti[:-1])), 2)
-    anti_row = _dense_row(anti)
+    anti_row = _dense_row(antiregular_sequence(n))
+    anti_m = int(anti_row[0][:-1], 2)
     anti_min, anti_max = anti_row[2:]
     # without an extreme (n = 2) the window reaches past every value on that side
     lo, hi = FORBIDDEN_LO + GAP_MARGIN / 2, FORBIDDEN_HI - GAP_MARGIN / 2
@@ -310,7 +317,8 @@ def omega_scan(n: int, workers: int | None = None) -> ScanReport:
     trivial = _trivial_count(n, np.arange(1 << min(n - 2, _CHUNK_BITS)))
     for m0, counts in inertia_chunks(n, [lo, hi]):
         expected = _shifted_trivial_count(n, m0, trivial) if m0 else trivial
-        flagged = (counts[1] - counts[0] != expected) | (np.minimum(*counts) < 0)
+        below_lo, below_hi = counts
+        flagged = (below_hi - below_lo != expected) | (np.minimum(below_lo, below_hi) < 0)
         kept.update(m0 + j for j in flagged.nonzero()[0].tolist())
     # chunks arrive out of order; the violations and the tie rule go in sequence order
     dense = [anti_row if m == anti_m else _dense_row(_creation_sequence(n, m))

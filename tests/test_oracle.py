@@ -305,6 +305,34 @@ def test_infinite_diagonal_is_rejected(n):
             char_poly_eval(_with_entry(n, 2, 2, value), 0.0)
 
 
+@pytest.mark.parametrize("n", [3, 17])
+def test_infinite_off_diagonal_is_rejected(n):
+    # the scale's max|a_ij| decides finiteness too: -inf enters it as inf
+    for value in (-math.inf, math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            jacobi_eigenvalues(_with_entry(n, 0, n - 1, value))
+        with pytest.raises(ValueError, match="non-finite"):
+            quotient_eigenvalues(_with_entry(n, n - 1, 1, value), [1] * n)
+        with pytest.raises(ValueError, match="non-finite"):
+            char_poly_eval(_with_entry(n, 1, 2, value), 0.5)
+
+
+def test_quotient_reports_non_finite_entries_before_cell_sizes():
+    with pytest.raises(ValueError, match="non-finite"):
+        quotient_eigenvalues([[0.0, math.nan], [1.0, 0.0]], [1.5, 1])
+
+
+def test_entries_beyond_the_float_range_are_rejected():
+    # converting 10**400 to a float raised OverflowError
+    big = [[0, 10**400], [10**400, 0]]
+    with pytest.raises(ValueError, match="beyond the float range"):
+        jacobi_eigenvalues(big)
+    with pytest.raises(ValueError, match="beyond the float range"):
+        quotient_eigenvalues(big, [1, 1])
+    with pytest.raises(ValueError, match="beyond the float range"):
+        char_poly_eval([[0, -10**400], [-10**400, 0]], 0.5)
+
+
 HERMITIAN = [[0.0, 1j], [-1j, 0.0]]  # eigenvalues -1 and 1
 
 
