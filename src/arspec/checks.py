@@ -46,6 +46,8 @@ def _even_pairs(spectra):
 
 def oracle_equivalence(spectra, tol: float) -> CheckResult:
     """Solver eigenvalues within tol of the dense oracle's."""
+    if not spectra:
+        return CheckResult("oracle-equivalence", SKIP, "needs a solved order")
     worst = 0.0
     for n, spec in spectra.items():
         dense = oracle.jacobi_eigenvalues(graphs.antiregular_adjacency(n)).eigenvalues
@@ -56,6 +58,8 @@ def oracle_equivalence(spectra, tol: float) -> CheckResult:
 
 def forbidden_interval(spectra) -> CheckResult:
     """No nontrivial eigenvalue inside the forbidden interval."""
+    if not spectra:
+        return CheckResult("forbidden-interval", SKIP, "needs a solved order")
     for n, spec in spectra.items():
         if not solver.forbidden_interval_check(spec):
             return CheckResult("forbidden-interval", FAIL, "violation at n=%d" % n)
@@ -66,6 +70,8 @@ def bracket_containment(spectra) -> CheckResult:
     """Root counts, angles strictly inside their brackets and, for even order,
     eigenvalues strictly between the branch values at their bracket ends."""
     name = "bracket-containment"
+    if not spectra:
+        return CheckResult(name, SKIP, "needs a solved order")
 
     def fail(detail):
         return CheckResult(name, FAIL, detail)
@@ -155,6 +161,8 @@ def extreme_bounds(spectra) -> CheckResult:
 def laplacian_integer_spectrum(orders, tol: float) -> CheckResult:
     """Dense Laplacian spectrum within tol of 0..n without (n + 1) // 2."""
     name = "laplacian-integer-spectrum"
+    if not orders:
+        return CheckResult(name, SKIP, "needs an order")
     for n in orders:
         lap = graphs.laplacian(graphs.antiregular_adjacency(n))
         eigs = oracle.jacobi_eigenvalues(lap).eigenvalues

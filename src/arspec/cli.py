@@ -195,11 +195,7 @@ def cmd_table1(args) -> tuple[str, str | None]:
 def cmd_verify(args) -> tuple[str, str | None]:
     _checked_int("verify --n-max", args.n_max, 2, 500)
     spectra = {n: solver.solve_spectrum(n) for n in range(2, args.n_max + 1)}
-    # the innermost pair of order 2k is bracket 1 of both branches, solved above
-    innermost = {}
-    for k in range(1, args.n_max // 2 + 1):
-        spec = spectra[2 * k]
-        innermost[k] = (spec.positives[0], spec.negatives[0] if k > 1 else None)
+    innermost = {k: solver.innermost_eigenvalues(k) for k in range(1, args.n_max // 2 + 1)}
     results = [
         checks.oracle_equivalence(spectra, 0.0 if args.tamper else BOTH_TOL),
         checks.forbidden_interval(spectra),

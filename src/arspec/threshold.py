@@ -208,46 +208,45 @@ def inertia_chunks(n: int, xs):
     Algebra Appl. 439, 2013): vertex i with bit b has pivot d = c - x and
     leaves c - (b + c)^2 / d, and by Sylvester's law of inertia the negative
     pivots count the eigenvalues below x.  d does not depend on b, so each
-    free vertex doubles the batch.  The lowest _CHUNK_BITS bits of m double
-    in one loop, once for all chunks; the higher vertices are finished depth
+    free vertex doubles the batch.  The suffix batch pivots out vertex
+    n - 1 (bit 1), then the low = min(n - 2, _CHUNK_BITS) lowest bits of m
+    in one loop, once for all chunks, adding signs in place into counts of
+    the final width 2^low; _split pivots out the higher vertices depth
     first, so graphs that share those bits share their elimination.
     """
     n = _checked_int("n", n, 2, MAX_SCAN_ORDER)
-    x = np.asarray(xs, dtype=float)[:, None, None]
-    yield from _finish(np.zeros(x.shape), None, x, n - 1, 0, 0)
-
-
-def _finish(c, neg, x, i, m0, step, out=None):
-    """Pivot out vertices i down to 0 of a batch whose vertices above i are
-    done, vertex i adding step to m when its bit is 1 (step 0: vertex n - 1,
-    bit 1, and neg None), graph m0 + j in entry [k, 0, j]: the batch doubles
-    in one loop up to 2^_CHUNK_BITS graphs, each level adding its signs in
-    place into counts of that final width, then splits depth first, level i
-    eliminating into out[i], made once per pass; yield (m0, counts) per
-    chunk, outside np.errstate."""
+    x = np.asarray(xs, dtype=float)
+    if x.ndim != 1 or not len(x):
+        raise ValueError("xs must be a nonempty 1-D sequence, got shape %r" % (x.shape,))
+    x, low = x[:, None, None], min(n - 2, _CHUNK_BITS)
+    neg = np.zeros((len(x), 1, 1 << low), dtype=np.int8)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if not step:
-            neg = np.zeros((len(x), 1, 1 << min(i - 1, _CHUNK_BITS)), dtype=np.int8)
-            c, _ = _eliminate(c, neg, x, 1.0, (None, neg, None, None))
-            i, step = i - 1, 1
-        while i and step < 1 << _CHUNK_BITS:  # the batch holds step graphs
-            # graph j of the final width has the signs of entry j mod step
-            view = neg.reshape(len(x), -1, step)
+        c, _ = _eliminate(np.zeros(x.shape), neg, x, 1.0, (None, neg, None, None))
+        for level in range(low):  # the batch holds 2^level graphs
+            # graph j of the final width has the signs of entry j mod 2^level
+            view = neg.reshape(len(x), -1, 1 << level)
             c, _ = _eliminate(c, view, x, _BOTH, (None, view, None, None))
-            c, i, step = c.reshape(len(x), 1, -1), i - 1, 2 * step
-        if i and out is None:  # each level's shift and counts, one shared pivot and sign
-            shared = np.empty(c.shape), np.empty(c.shape, dtype=bool)
-            out = [(np.empty((len(x), 1 + (j > 0), step)), np.empty(c.shape, dtype=np.int8),
-                    *shared) for j in range(i + 1)]
-        # without a split (out None) the last vertex adds in place too
-        c, neg = _eliminate(c, neg, x, _BOTH if i else 0.0,
-                            out[i] if out else (None, neg, None, None))
+            c = c.reshape(len(x), 1, -1)
+    out = [(None, neg, None, None)]  # without a split, vertex 0 adds in place too
+    if n - 2 > low:  # each split level's shift and counts, one shared pivot and sign
+        shared = np.empty(c.shape), np.empty(c.shape, dtype=bool)
+        out = [(np.empty((len(x), 1 + (i > 0), 1 << low)), np.empty(c.shape, dtype=np.int8),
+                *shared) for i in range(n - 1 - low)]
+    yield from _split(c, neg, x, n - 2 - low, 0, 1 << low, out)
+
+
+def _split(c, neg, x, i, m0, step, out):
+    """Pivot out vertex i, adding step to m when its bit is 1, of the batch
+    of graphs m0 + j into out[i]; yield (m0, counts) after vertex 0, outside
+    np.errstate, else split into the batches of both bits, depth first."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        c, neg = _eliminate(c, neg, x, _BOTH if i else 0.0, out[i])
     if not i:
         # a zero pivot's infinite or NaN shift lasts through vertex 0
         yield m0, np.where(np.isfinite(c), neg, -1)[:, 0]
         return
     for b in (0, 1):
-        yield from _finish(c[:, b, None], neg, x, i - 1, m0 + b * step, 2 * step, out)
+        yield from _split(c[:, b, None], neg, x, i - 1, m0 + b * step, 2 * step, out)
 
 
 def _trivial_count(n: int, m) -> np.ndarray:

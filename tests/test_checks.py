@@ -58,6 +58,18 @@ def test_extreme_bounds_skips_without_an_even_order_from_4():
     assert result.status == checks.SKIP, result.line()
 
 
+@pytest.mark.parametrize("check, empty, detail", [
+    (partial(checks.oracle_equivalence, tol=1e-8), {}, "needs a solved order"),
+    (checks.forbidden_interval, {}, "needs a solved order"),
+    (checks.bracket_containment, {}, "needs a solved order"),
+    (partial(checks.laplacian_integer_spectrum, tol=1e-6), range(2, 2), "needs an order"),
+])
+def test_check_skips_on_empty_input(check, empty, detail):
+    # nothing to check is a SKIP naming what is missing, as for the pair checks
+    result = check(empty)
+    assert (result.status, result.detail) == (checks.SKIP, detail), result.line()
+
+
 def test_bracket_containment_catches_a_missing_root():
     spec = SPECTRA[9]
     short = replace(spec, negatives=spec.negatives[:-1], thetas_neg=spec.thetas_neg[:-1])

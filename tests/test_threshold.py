@@ -321,6 +321,18 @@ def test_inertia_chunks_rejects_out_of_range_orders(n):
         next(threshold.inertia_chunks(n, [0.5]))
 
 
+@pytest.mark.parametrize("xs", [[], 0.5, [[0.1, 0.2]], np.zeros((2, 0))],
+                         ids=["empty", "scalar", "2-D", "empty-2-D"])
+def test_inertia_chunks_rejects_malformed_points(monkeypatch, xs):
+    # refused before any elimination, at an order that splits and one that does not
+    eliminated = []
+    monkeypatch.setattr(threshold, "_eliminate", lambda *args: eliminated.append(args))
+    for n in (5, 20):
+        with pytest.raises(ValueError, match="xs must be a nonempty 1-D sequence"):
+            next(threshold.inertia_chunks(n, xs))
+    assert not eliminated
+
+
 def test_inertia_pass_leaves_numpy_error_state_alone(monkeypatch):
     # order 9 comes in 16 chunks of 8 graphs, and x = 0 divides by a zero
     # pivot; the pass silences that only between its own yields
